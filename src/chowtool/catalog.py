@@ -10,9 +10,15 @@ here on both entries.  The P3_blowup4 vertex list is kept literally even
 though its corner-cut facets sit at lattice distance 2 (so it is not
 reflexive and cannot be the polar dual of P3_blowup4_dual); the discrepancy
 is recorded on the entry.
+
+Entries are registered as builders at import and constructed on their first
+``get``, then memoised, so importing the package or the CLI builds no
+polytope; ``entries()`` builds them all.  Shared pieces (the cubes, the
+polygons, the A_n) are built once and reused by every entry made from them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from types import MappingProxyType
 
 from .errors import UnknownName
@@ -34,11 +40,15 @@ def _unit(i, n, sign=1):
     return tuple(sign if j == i else 0 for j in range(n))
 
 
+@cache
+def _cube_chain(n):
+    # the product chain cube1 x ... x cube1; intermediate products stay unnamed
+    return _SEG if n == 1 else product(_cube_chain(n - 1), _SEG)
+
+
+@cache
 def _cube(n):
-    P = _SEG
-    for _ in range(n - 1):
-        P = product(P, _SEG)
-    return P.with_name(f"cube{n}")
+    return _cube_chain(n).with_name(f"cube{n}")
 
 
 def _cross(n):
@@ -47,6 +57,7 @@ def _cross(n):
     return dual(_cube(n)).with_name(f"D{n}")
 
 
+@cache
 def _a_poly(n):
     return Polytope(
         [_unit(i, n) for i in range(n)] + [(-1,) * n], name=f"A{n}"
@@ -59,34 +70,38 @@ def _simplex_pn(n):
     return dual(_a_poly(n)).with_name(f"simplexPn{n}")
 
 
-def _build():
-    entries = {}
+_TWO_DIM_VERTICES = {
+    "X3": [(-1, -1), (1, 0), (0, 1)],
+    "X4": [(1, 0), (-1, 0), (0, 1), (0, -1)],
+    "X6": [(0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, 1)],
+    "X8": [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+    "X9": [(-1, -1), (2, -1), (-1, 2)],
+}
 
-    def add(name, polytope, notes="", **expected):
-        entries[name] = CatalogEntry(
-            name=name,
-            polytope=polytope.with_name(name),
-            expected=MappingProxyType(dict(expected)),
-            notes=notes,
-        )
 
-    X3 = Polytope([(-1, -1), (1, 0), (0, 1)], name="X3")
-    X4 = Polytope([(1, 0), (-1, 0), (0, 1), (0, -1)], name="X4")
-    X6 = Polytope(
-        [(0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, 1)], name="X6"
-    )
-    X8 = Polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)], name="X8")
-    X9 = Polytope([(-1, -1), (2, -1), (-1, 2)], name="X9")
-    two_dim = {"X3": X3, "X4": X4, "X6": X6, "X8": X8, "X9": X9}
+@cache
+def _two_dim(name):
+    return Polytope(_TWO_DIM_VERTICES[name], name=name)
+
+
+# name -> (zero-argument polytope builder, notes, expected); filled at import
+_BUILDERS = {}
+# name -> CatalogEntry, filled by get()
+_ENTRIES = {}
+
+
+def _register():
+    def add(name, build, notes="", **expected):
+        _BUILDERS[name] = (build, notes, MappingProxyType(dict(expected)))
 
     label_note = (
         "text naming: X8 = square (P1 x P1), X9 = triangle (P2); one figure "
         "swaps the two labels"
     )
-    for name, P in two_dim.items():
+    for name in _TWO_DIM_VERTICES:
         add(
             name,
-            P,
+            lambda name=name: _two_dim(name),
             notes=label_note if name in ("X8", "X9") else "",
             reflexive=True,
             symmetric=True,
@@ -95,11 +110,11 @@ def _build():
             verdict="polystable",
         )
 
-    for name, P in two_dim.items():
+    for name in _TWO_DIM_VERTICES:
         special = name not in ("X8", "X9")
         add(
             f"D_{name}",
-            double_cone(P),
+            lambda name=name: double_cone(_two_dim(name)),
             reflexive=True,
             symmetric=True,
             weakly_symmetric=True,
@@ -107,10 +122,10 @@ def _build():
             verdict="polystable",
         )
 
-    for name, P in two_dim.items():
+    for name in _TWO_DIM_VERTICES:
         add(
             f"{name}_x_segment",
-            product(P, _SEG),
+            lambda name=name: product(_two_dim(name), _SEG),
             reflexive=True,
             symmetric=True,
             special=True,
@@ -120,7 +135,7 @@ def _build():
     for n in range(2, 6):
         add(
             f"A{n}",
-            _a_poly(n),
+            lambda n=n: _a_poly(n),
             notes="A2 coincides with X3" if n == 2 else "",
             reflexive=True,
             symmetric=True,
@@ -135,30 +150,30 @@ def _build():
             expected.update(special=True, verdict="polystable")
         if n <= 5:
             expected["weakly_symmetric"] = True
-        add(f"D{n}", _cross(n), **expected)
+        add(f"D{n}", lambda n=n: _cross(n), **expected)
 
     for n in range(1, 8):
         expected = dict(reflexive=True, symmetric=True, verdict="polystable")
         if n <= 4:
             expected["special"] = True
             expected["weakly_symmetric"] = True
-        add(f"cube{n}", _cube(n), **expected)
+        add(f"cube{n}", lambda n=n: _cube(n), **expected)
 
     for n in range(2, 6):
         expected = dict(reflexive=True, symmetric=True)
         if n <= 4:
             expected.update(weakly_symmetric=True, special=True, verdict="polystable")
-        add(f"simplexPn{n}", _simplex_pn(n), **expected)
+        add(f"simplexPn{n}", lambda n=n: _simplex_pn(n), **expected)
 
     for n in (5, 6, 7):
         expected = {"doublecone_test": "inconclusive" if n <= 5 else "not_semistable"}
         if n >= 6:
             expected["verdict"] = "not_semistable"
-        add(f"cube{n}_doublecone", double_cone(_cube(n)), **expected)
+        add(f"cube{n}_doublecone", lambda n=n: double_cone(_cube(n)), **expected)
 
     add(
         "P3_blowup4",
-        Polytope(
+        lambda: Polytope(
             [
                 (0, -1, -1),
                 (-1, 0, -1),
@@ -184,7 +199,7 @@ def _build():
     )
     add(
         "P3_blowup4_dual",
-        Polytope(
+        lambda: Polytope(
             [
                 (1, 0, 0),
                 (-1, 0, 0),
@@ -208,7 +223,7 @@ def _build():
     )
     add(
         "cuboctahedron",
-        Polytope(
+        lambda: Polytope(
             [
                 (1, 0, 0),
                 (-1, 0, 0),
@@ -232,7 +247,7 @@ def _build():
     )
     add(
         "rhombic_dodecahedron",
-        Polytope(
+        lambda: Polytope(
             [
                 (1, 0, 0),
                 (1, 1, 0),
@@ -262,7 +277,7 @@ def _build():
     )
     add(
         "P3modZ4",
-        Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]),
+        lambda: Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]),
         notes="same vertex set as A3",
         reflexive=True,
         symmetric=True,
@@ -270,10 +285,8 @@ def _build():
         verdict="polystable",
     )
 
-    return entries
 
-
-_ENTRIES = _build()
+_register()
 
 # duality pairs satisfying dual(first) ~ second up to lattice isomorphism;
 # (P3_blowup4, P3_blowup4_dual) is excluded: the listed vertices fail
@@ -291,17 +304,25 @@ DUAL_PAIRS = (
 
 
 def get(name):
-    """Catalog entry by name; raises UnknownName otherwise."""
-    try:
-        return _ENTRIES[name]
-    except KeyError:
-        raise UnknownName(name) from None
+    """Catalog entry by name, built on first request; raises UnknownName otherwise."""
+    entry = _ENTRIES.get(name)
+    if entry is None:
+        try:
+            build, notes, expected = _BUILDERS[name]
+        except KeyError:
+            raise UnknownName(name) from None
+        entry = CatalogEntry(
+            name=name, polytope=build().with_name(name), expected=expected, notes=notes
+        )
+        _ENTRIES[name] = entry
+    return entry
 
 
 def list_names():
-    """All registered names in deterministic order."""
-    return sorted(_ENTRIES)
+    """All registered names in deterministic order (builds nothing)."""
+    return sorted(_BUILDERS)
 
 
 def entries():
-    return [_ENTRIES[name] for name in list_names()]
+    """Every entry in name order, building the ones not built yet."""
+    return [get(name) for name in list_names()]

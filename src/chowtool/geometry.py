@@ -233,19 +233,20 @@ class Polytope:
 
     def _validate_trusted(self):
         n = self.dim
-        for v in self.vertices:
-            for f in self.facets:
-                if f.value(v) < 0:
-                    raise AssertionError("trusted facet system violated by a vertex")
-        for f in self.facets:
-            tight = [v for v in self.vertices if f.value(v) == 0]
+        verts = self.vertices
+        # slack[i][j] = value of facet i at vertex j, computed once for all checks
+        slack = [[dot(f.normal, v) + f.offset for v in verts] for f in self.facets]
+        if any(s < 0 for row in slack for s in row):
+            raise AssertionError("trusted facet system violated by a vertex")
+        for row in slack:
+            tight = [v for v, s in zip(verts, row) if s == 0]
             if len(tight) < n:
                 raise AssertionError("trusted facet with too few tight vertices")
             rows = [vec_sub(v, tight[0]) for v in tight[1:]]
             if rank_rational(rows) != n - 1:
                 raise AssertionError("trusted facet not (n-1)-dimensional")
-        for v in self.vertices:
-            active = [f.normal for f in self.facets if f.value(v) == 0]
+        for j in range(len(verts)):
+            active = [f.normal for f, row in zip(self.facets, slack) if row[j] == 0]
             if rank_rational(active) != n:
                 raise AssertionError("trusted vertex list contains a non-vertex")
 

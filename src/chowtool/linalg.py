@@ -1,11 +1,13 @@
 """Exact integer and rational linear algebra.
 
 Everything here works on plain Python ints and fractions.Fraction; sizes are
-desk scale (n <= 8), so clarity wins over asymptotics.
+desk scale (n <= 8), so clarity wins over asymptotics.  Determinant and rank
+are fraction-free (Bareiss elimination on ints): rank scales each rational
+row by the lcm of its denominators first and builds no Fraction.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def dot(a, b):
@@ -20,8 +22,21 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
+def integer_root(x, d):
+    """The int m >= 0 with m**d == x, or None when x is not a d-th power.
+
+    Integer Newton iteration from above, so arbitrarily large x work (no
+    float rounding); x must be a nonnegative int and d >= 1.
+    """
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // d)  # 2**ceil(bits/d) exceeds the root
+    while True:
+        s = ((d - 1) * r + x // r ** (d - 1)) // d
+        if s >= r:
+            break
+        r = s
+    return r if r ** d == x else None
 
 
 def vec_gcd(v):
@@ -80,28 +95,39 @@ def cross_normal(vectors):
 
 
 def rank_rational(rows):
-    """Rank of a matrix with int/Fraction entries."""
-    a = [[Fraction(x) for x in r] for r in rows]
+    """Rank of a matrix with int/Fraction entries (fraction-free Bareiss).
+
+    After each step the entries below the pivot rows are minors of the input,
+    so the division by the previous pivot is exact even when a column without
+    a pivot is skipped.
+    """
+    a = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        a.append([x.numerator * (den // x.denominator) for x in r])
     if not a:
         return 0
     nrows, ncols = len(a), len(a[0])
+    full = min(nrows, ncols)
     rank = 0
+    prev = 1
     for col in range(ncols):
-        pivot = None
         for i in range(rank, nrows):
-            if a[i][col] != 0:
-                pivot = i
+            if a[i][col]:
                 break
-        if pivot is None:
+        else:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pv = a[rank][col]
-        for i in range(nrows):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        a[rank], a[i] = a[i], a[rank]
+        pivot_row = a[rank]
+        p = pivot_row[col]
+        tail = pivot_row[col:]
+        for i in range(rank + 1, nrows):
+            row = a[i]
+            f = row[col]
+            row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
+        prev = p
         rank += 1
-        if rank == min(nrows, ncols):
+        if rank == full:
             break
     return rank
 

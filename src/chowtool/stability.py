@@ -872,7 +872,6 @@ def falsify(P, k):
     prov = P._provenance
     if chi <= 400 and n <= 3:
         carrier = delaunay_triangulation(pts)
-        pt_index = {p: p for p in pts}
 
         def locate(p):
             return [(p, Fraction(1))]

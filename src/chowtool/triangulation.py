@@ -34,6 +34,7 @@ from .linalg import (
     vec_sub,
     vec_add,
     det_int,
+    integer_root,
     solve_rational,
     rank_rational,
     simplex_relative_volume_times_factorial,
@@ -341,12 +342,8 @@ def _facet_as_dilated_simplex(facet):
     det = abs(det_int(edges))
     if det == 0:
         return None
-    m = round(det ** (1.0 / d))
-    for cand in (m - 1, m, m + 1):
-        if cand >= 1 and cand ** d == det:
-            m = cand
-            break
-    else:
+    m = integer_root(det, d)
+    if m is None:
         return None
     for e in edges:
         if any(x % m for x in e):
@@ -505,8 +502,6 @@ def _best_cycle_triangulation(cycle, valence):
     def area2(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    INF = float("inf")
-
     @lru_cache(maxsize=None)
     def best(i, j):
         """Triangulate the chain i..j; returns (cost, canonical key, triangles)."""
@@ -642,11 +637,8 @@ def polygon_unimodular_triangulation(Q):
     verts = Q.vertices
     if len(verts) == 3:
         edges = [vec_sub(v, verts[0]) for v in verts[1:]]
-        det = abs(det_int(edges))
-        m = 1
-        while m * m < det:
-            m += 1
-        if m * m == det and all(x % m == 0 for e in edges for x in e):
+        m = integer_root(abs(det_int(edges)), 2)
+        if m and all(x % m == 0 for e in edges for x in e):
             small = [verts[0]] + [
                 tuple(b + x // m for b, x in zip(verts[0], e)) for e in edges
             ]

@@ -2,8 +2,13 @@
 every claim stored on an entry is recomputed by the corresponding module.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import chowtool
 from chowtool import catalog
 from chowtool.errors import UnknownName
 from chowtool.geometry import (
@@ -43,6 +48,39 @@ def test_get_and_list():
     }
     with pytest.raises(UnknownName):
         catalog.get("nope")
+
+
+def test_import_builds_no_entry():
+    # a fresh interpreter: this process may have built entries already
+    src = os.path.dirname(os.path.dirname(chowtool.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import chowtool.cli\n"
+        "from chowtool import catalog\n"
+        "caches = (catalog._cube_chain, catalog._cube, catalog._a_poly, catalog._two_dim)\n"
+        "print(len(catalog._ENTRIES), sum(c.cache_info().currsize for c in caches),"
+        " len(catalog.list_names()), len(catalog._ENTRIES))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0", str(len(catalog.list_names())), "0"]
+
+
+def test_get_memoises_entries():
+    first = catalog.get("cube3")
+    assert catalog.get("cube3") is first
+    assert catalog.get("cube3").polytope is first.polytope
+    with pytest.raises(UnknownName):
+        catalog.get("nope")
+    with pytest.raises(UnknownName):
+        catalog.get("nope")
+    assert "nope" not in catalog._ENTRIES
+
+
+def test_entries_builds_every_name():
+    assert [e.name for e in catalog.entries()] == catalog.list_names()
+    assert all(catalog.get(e.name) is e for e in catalog.entries())
 
 
 def test_A2_equals_X3():

@@ -5,6 +5,7 @@ import pytest
 
 from chowtool.errors import NotFullDimensional, NotReflexive, DimensionTooSmall
 from chowtool.geometry import (
+    Facet,
     Polytope,
     facets,
     lattice_points,
@@ -228,3 +229,32 @@ def test_dilation_implicit_consistency():
         for k in (2, 3):
             scaled = Polytope([tuple(k * x for x in v) for v in P.vertices])
             assert lattice_points(P, k) == lattice_points(scaled, 1)
+
+
+def _trusted_square(vertices, extra_facets=()):
+    """Polytope over a given vertex list, trusting the facet system of [-1, 1]^2."""
+    return Polytope(vertices, _trusted=(list(SQUARE.facets) + list(extra_facets), None))
+
+
+def test_trusted_square_passes_validation():
+    assert _trusted_square(SQUARE.vertices).facets == SQUARE.facets
+
+
+def test_trusted_vertex_violating_a_facet_is_rejected():
+    # x >= 0 cuts the square in half
+    cut = Facet(normal=(1, 0), offset=0, vertices=((0, -1), (0, 1)))
+    with pytest.raises(AssertionError, match="violated by a vertex"):
+        _trusted_square(SQUARE.vertices, [cut])
+
+
+def test_trusted_facet_with_too_few_tight_vertices_is_rejected():
+    # x + y >= -2 is valid but touches the square only at (-1, -1)
+    corner = Facet(normal=(1, 1), offset=2, vertices=((-1, -1),))
+    with pytest.raises(AssertionError, match="too few tight vertices"):
+        _trusted_square(SQUARE.vertices, [corner])
+
+
+def test_trusted_non_vertex_is_rejected():
+    # (0, -1) lies in the middle of the bottom edge
+    with pytest.raises(AssertionError, match="non-vertex"):
+        _trusted_square(list(SQUARE.vertices) + [(0, -1)])
