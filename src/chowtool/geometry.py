@@ -122,14 +122,14 @@ def convex_hull(points):
         next_id[0] += 1
         facets[fid] = raw
         for i in range(len(raw.verts)):
-            ridge = frozenset(raw.verts[:i] + raw.verts[i + 1 :])
+            ridge = raw.verts[:i] + raw.verts[i + 1 :]
             ridge_map.setdefault(ridge, set()).add(fid)
         return fid
 
     def remove_facet(fid):
         raw = facets.pop(fid)
         for i in range(len(raw.verts)):
-            ridge = frozenset(raw.verts[:i] + raw.verts[i + 1 :])
+            ridge = raw.verts[:i] + raw.verts[i + 1 :]
             owners = ridge_map.get(ridge)
             owners.discard(fid)
             if not owners:
@@ -151,11 +151,11 @@ def convex_hull(points):
         for fid in visible:
             raw = facets[fid]
             for i in range(len(raw.verts)):
-                ridge = frozenset(raw.verts[:i] + raw.verts[i + 1 :])
+                ridge = raw.verts[:i] + raw.verts[i + 1 :]
                 owners = ridge_map[ridge]
                 others = owners - visible_set
                 if others:
-                    horizon.append(tuple(sorted(ridge)))
+                    horizon.append(ridge)
         for fid in visible:
             remove_facet(fid)
         for ridge in horizon:
@@ -227,6 +227,8 @@ class Polytope:
         self._centroid = None
         self._facet_relvols = None
         self._points_cache = {}
+        self._level1 = None  # triangulation.level1_boundary, once built
+        self._weak_symmetry = None  # stability._weak_symmetry_check, once run
         self._provenance = None  # ("product", (P, Q)) etc., set by constructors
 
     # -- construction helpers ------------------------------------------------

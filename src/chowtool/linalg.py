@@ -7,19 +7,21 @@ row by the lcm of its denominators first and builds no Fraction.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
+from operator import add, mul, sub
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def integer_root(x, d):
@@ -55,10 +57,22 @@ def primitive(v):
 
 
 def det_int(rows):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix.
+
+    Closed-form cofactor expansion up to 3 x 3 (the cells of most
+    triangulations), Bareiss elimination beyond.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
+    if n <= 3:
+        if n == 0:
+            return 1
+        if n == 1:
+            return rows[0][0]
+        if n == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -77,6 +91,23 @@ def det_int(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def adjugate(rows):
+    """Integer adjugate of a square integer matrix: adj(A) A = det(A) I.
+
+    Entry (i, j) is (-1)^(i+j) times the minor of A without row j and
+    column i.
+    """
+    n = len(rows)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * det_int([r[:i] + r[i + 1 :] for m, r in enumerate(rows) if m != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def cross_normal(vectors):
@@ -158,10 +189,8 @@ def solve_rational(matrix, rhs):
 
 
 def matmul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def matvec(a, v):
@@ -309,12 +338,10 @@ def simplex_relative_volume_times_factorial(vertices):
     n = len(verts[0])
     if d == n:
         return abs(det_int(edges))
-    from itertools import combinations
-
     g = 0
-    for cols in combinations(range(n), d):
-        minor = [[e[c] for c in cols] for e in edges]
-        g = gcd(g, abs(det_int(minor)))
+    # a minor's determinant is that of its transpose, d columns of the edges
+    for minor in combinations(zip(*edges), d):
+        g = gcd(g, det_int(minor))
         if g == 1:
             return 1
     return g

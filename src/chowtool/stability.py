@@ -28,6 +28,7 @@ from .errors import (
     NonIntegralCut,
     NotReflexive,
     NoTriangulation,
+    OriginNotInterior,
 )
 from .geometry import (
     Polytope,
@@ -606,13 +607,20 @@ def _weak_symmetry_check(P):
     Symmetric polytopes short-circuit: FO is invariant under composing the
     functional with a lattice automorphism, so FO(a, k) equals FO of the
     group average of a, which is constant when the fixed subspace is 0, and
-    FO of a constant vanishes.
+    FO of a constant vanishes.  The result is a function of P alone, so it
+    is computed once per polytope.
     """
+    if P._weak_symmetry is None:
+        P._weak_symmetry = _run_weak_symmetry_check(P)
+    return P._weak_symmetry
+
+
+def _run_weak_symmetry_check(P):
     n = P.dim
     if all(f.offset >= 1 for f in P.facets):
         try:
             symmetric = is_symmetric(P)
-        except Exception:
+        except OriginNotInterior:
             symmetric = False
         if symmetric:
             return (
@@ -890,7 +898,7 @@ def falsify(P, k):
             if (len(P.vertices) <= 16 and n <= 4)
             else automorphism_generators(P)
         )
-    except Exception:
+    except OriginNotInterior:
         gens = []
     orbit_list = orbits(vertex_set, gens) if gens else [(v,) for v in vertex_set]
     var_of = {}
@@ -933,7 +941,7 @@ def falsify(P, k):
         verts = s.vertices
         for i in range(len(verts)):
             face = verts[:i] + verts[i + 1 :]
-            census.setdefault(frozenset(face), []).append((si, verts[i]))
+            census.setdefault(face, []).append((si, verts[i]))
     for face, owners in census.items():
         if len(owners) != 2:
             continue
@@ -1143,16 +1151,14 @@ def classify(P, k_max=None):
     if special.status == POLYSTABLE:
         return StabilityVerdict(POLYSTABLE, checks, polytope_name=P.name)
 
-    ws = special.check("weakly symmetric")
-    if ws is None:
+    ws, witness, _ = _weak_symmetry_check(P)
+    if special.check("weakly symmetric") is None:
         # reflexivity failed before check_special reached the FO test; the
-        # necessity argument applies to any polytope, so run it here
-        ws, _, _ = _weak_symmetry_check(P)
+        # necessity argument applies to any polytope, so record it here
         checks.append(ws)
-    if not ws.passed and "skipped" not in ws.detail:
+    if witness is not None:
         # a persistent FO defect violates the necessary vanishing condition
         witness_data = ws.detail
-        _, witness, _ = _weak_symmetry_check(P)
         a = AffineFunctional.coordinate(witness.coordinate, n)
         sign = -1 if witness.value > 0 else 1
         fn = affine_pl_function(P, witness.k, a, sign=sign)

@@ -22,9 +22,9 @@ from .linalg import (
     matmul,
     matvec,
     identity_matrix,
-    invert_rational,
     rank_rational,
     det_int,
+    adjugate,
 )
 
 
@@ -67,16 +67,16 @@ def _gram_form(P):
     return tuple(tuple(row) for row in q)
 
 
-def _q_dot(q, a, b):
-    return sum(a[i] * q[i][j] * b[j] for i in range(len(a)) for j in range(len(a)))
-
-
 def automorphisms(P):
     """All matrices in GL(n, Z) mapping the vertex set of P onto itself.
 
     Backtracking over images of a linearly independent vertex base, pruned by
-    Gram values of the invariant form; the result is asserted to be closed
-    under composition.
+    Gram values of the invariant form.  The matrix sending the base to its
+    images is read off in integers: images times the adjugate of the base
+    must be divisible by the base determinant.  The sorted result is then
+    checked to be closed under composition at every group order, from a
+    generating set grown out of the identity (see _check_group), which costs
+    O(|G| |S|) products for |S| generators instead of |G|^2.
     """
     _check_origin_interior(P)
     n = P.dim
@@ -84,18 +84,20 @@ def automorphisms(P):
     q = _gram_form(P)
 
     base = []
-    rows = []
     for v in verts:
-        if rank_rational(rows + [v]) == len(rows) + 1:
+        if rank_rational(base + [v]) == len(base) + 1:
             base.append(v)
-            rows.append(v)
             if len(base) == n:
                 break
     assert len(base) == n, "vertices of a full-dimensional 0-interior polytope span"
 
-    base_inv = invert_rational([list(col) for col in zip(*base)])
-    assert base_inv is not None
-    grams = [[_q_dot(q, base[i], base[j]) for j in range(i + 1)] for i in range(n)]
+    # columns of the base matrix are the base vertices
+    base_mat = [list(col) for col in zip(*base)]
+    base_det = det_int(base_mat)
+    base_adj = adjugate(base_mat)
+    # Q v once per vertex; the Gram value of (a, b) is <a, Q b>
+    qv = {v: matvec(q, v) for v in verts}
+    grams = [[dot(base[i], qv[base[j]]) for j in range(i + 1)] for i in range(n)]
     vert_set = set(verts)
 
     found = []
@@ -103,42 +105,63 @@ def automorphisms(P):
     def extend(images):
         depth = len(images)
         if depth == n:
-            # g maps base[i] -> images[i]; columns solve g * base = images
-            img_cols = list(zip(*images))
-            g = matmul([list(r) for r in img_cols], base_inv)
-            gi = []
-            for row in g:
-                r = []
-                for x in row:
-                    fx = Fraction(x)
-                    if fx.denominator != 1:
-                        return
-                    r.append(int(fx))
-                gi.append(tuple(r))
-            g = tuple(gi)
+            # g * base = images, so g * det(base) = images * adj(base)
+            scaled = matmul(list(zip(*images)), base_adj)
+            if any(x % base_det for row in scaled for x in row):
+                return
+            g = tuple(tuple(x // base_det for x in row) for row in scaled)
             if abs(det_int(g)) != 1:
                 return
             if {matvec(g, v) for v in verts} != vert_set:
                 return
             found.append(g)
             return
+        target = grams[depth]
         for w in verts:
-            ok = True
-            for j in range(depth):
-                if _q_dot(q, images[j], w) != grams[depth][j]:
-                    ok = False
-                    break
-            if ok and _q_dot(q, w, w) == grams[depth][depth]:
+            qw = qv[w]
+            if dot(w, qw) == target[depth] and all(
+                dot(images[j], qw) == target[j] for j in range(depth)
+            ):
                 extend(images + [w])
 
     extend([])
     found.sort()
-    if len(found) <= 200:
-        group = set(found)
-        for a in found:
-            for b in found:
-                assert matmul(a, b) in group, "automorphism set not closed"
+    _check_group(found, n)
     return found
+
+
+def _check_group(elements, n):
+    """Raise AssertionError unless the matrices form a group under products.
+
+    The identity starts the reached set; every element not yet reached
+    becomes a new generator, and the reached set is closed under right
+    multiplication by the generators, each product checked to be an
+    element.  Every element meets every generator once.  In the end every
+    element is reached, so the set is the group <S> its generators make:
+    a finite set of invertible matrices closed under products.
+    """
+    group = set(elements)
+    identity = identity_matrix(n)
+    if identity not in group:
+        raise AssertionError("automorphism set lacks the identity")
+    reached = {identity}
+    gens = []
+    for g in elements:
+        if g in reached:
+            continue
+        gens.append(g)
+        # (element, generators it has yet to meet): the elements reached so
+        # far have met the earlier generators, new ones meet all of them
+        todo = [(x, (g,)) for x in reached]
+        while todo:
+            x, pending = todo.pop()
+            for s in pending:
+                y = matmul(x, s)
+                if y not in group:
+                    raise AssertionError("automorphism set not closed")
+                if y not in reached:
+                    reached.add(y)
+                    todo.append((y, gens))
 
 
 def automorphism_generators(P):
@@ -171,9 +194,10 @@ def automorphism_generators(P):
         (A,) = parts
         gens = []
         for g in automorphism_generators(A):
-            inv = invert_rational(g)
-            git = tuple(tuple(int(inv[j][i]) for j in range(n)) for i in range(n))
-            gens.append(git)
+            # g^-1 = det(g) adj(g) for det(g) = +-1; transposed
+            d = det_int(g)
+            adj = adjugate(g)
+            gens.append(tuple(tuple(d * adj[j][i] for j in range(n)) for i in range(n)))
         return gens
     return automorphisms(P)
 

@@ -3,8 +3,9 @@
 Two building blocks cover the whole catalog:
 
 * the alcove triangulation of a dilated standard simplex kT_n (the affine
-  type-A hyperplane arrangement; k^n unimodular cells, every lattice point
-  attains the incidence profile (n+1)!/(r+1)! on skeleton interiors), and
+  type-A hyperplane arrangement; k^n unimodular cells, and a lattice point
+  whose tight walls x_i = 0 and sum x = k form cyclic runs of lengths
+  r_1, ..., r_m lies in (n+1)!/prod (r_i+1)! of them), and
 * the staircase (Freudenthal) triangulation of axis-aligned boxes.
 
 Boundary triangulations are assembled facet by facet: facets that are
@@ -15,9 +16,12 @@ faces are lattice-intrinsic for the simplex/box strategies, which is what
 makes the per-facet assembly face-compatible.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
 from itertools import product as iter_product
+from operator import and_
 
 from .errors import NoStrategy, NotReflexive
 from .geometry import (
@@ -51,13 +55,17 @@ class LatticeSimplex:
     def dim(self):
         return len(self.vertices) - 1
 
+    @cached_property
+    def volume_times_factorial(self):
+        """d! times the relative volume (the gcd of the edge minors), computed once."""
+        return simplex_relative_volume_times_factorial(self.vertices)
+
     def relative_volume(self):
         """Volume against the lattice of the affine hull; unimodular means 1/d!."""
-        g = simplex_relative_volume_times_factorial(self.vertices)
-        return Fraction(g, _factorial(self.dim))
+        return Fraction(self.volume_times_factorial, _factorial(self.dim))
 
     def is_unimodular(self):
-        return simplex_relative_volume_times_factorial(self.vertices) == 1
+        return self.volume_times_factorial == 1
 
     def barycentric(self, point):
         """Exact barycentric coordinates of a point, or None if outside."""
@@ -115,7 +123,11 @@ class Triangulation:
         return len(self.simplices)
 
     def relative_volume(self):
-        return sum(s.relative_volume() for s in self.simplices)
+        """Sum of the cells' relative volumes, added as ints over one d!."""
+        if not self.simplices:
+            return Fraction(0)
+        total = sum(s.volume_times_factorial for s in self.simplices)
+        return Fraction(total, _factorial(self.simplices[0].dim))
 
     def all_unimodular(self):
         return all(s.is_unimodular() for s in self.simplices)
@@ -123,26 +135,26 @@ class Triangulation:
     def incidence(self):
         if self._incidence is not None:
             return self._incidence
-        counts = {}
-        for s in self.simplices:
-            if s.is_unimodular():
-                pts = s.vertices
-            else:
-                pts = _lattice_points_of_simplex(s)
-            for p in pts:
-                counts[p] = counts.get(p, 0) + 1
-        self._incidence = counts
-        return counts
+        self._incidence = dict(
+            Counter(
+                p
+                for s in self.simplices
+                for p in (
+                    s.vertices if s.is_unimodular() else _lattice_points_of_simplex(s)
+                )
+            )
+        )
+        return self._incidence
 
     def ridge_census(self):
-        """Map from (d-1)-subface (frozenset) to the number of incident cells."""
-        census = {}
-        for s in self.simplices:
-            verts = s.vertices
-            for i in range(len(verts)):
-                face = frozenset(verts[:i] + verts[i + 1 :])
-                census[face] = census.get(face, 0) + 1
-        return census
+        """Map from (d-1)-subface (sorted vertex tuple) to the number of incident cells."""
+        return dict(
+            Counter(
+                s.vertices[:i] + s.vertices[i + 1 :]
+                for s in self.simplices
+                for i in range(len(s.vertices))
+            )
+        )
 
 
 def _lattice_points_of_simplex(s):
@@ -211,15 +223,37 @@ def _y_to_x(y):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _alcove_pattern(n, k):
+    """The alcove cells of kT_n, built once per (n, k).
+
+    Returns (points, steps, cells).  points are the cell vertices in
+    x-coordinates, in lexicographic order, so points[0] is the origin;
+    points[i] for i > 0 is points[p] + e_j for (p, j) = steps[i - 1], where
+    j is the first nonzero coordinate of points[i].  cells keep the order of
+    _alcove_cells_order_simplex, as tuples of indices into points.
+    """
+    chains = _alcove_cells_order_simplex(n, k)
+    points = sorted({_y_to_x(y) for chain in chains for y in chain})
+    index = {x: i for i, x in enumerate(points)}
+    steps = []
+    for x in points[1:]:
+        j = next(j for j in range(n) if x[j])
+        steps.append((index[x[:j] + (x[j] - 1,) + x[j + 1 :]], j))
+    cells = tuple(tuple(index[_y_to_x(y)] for y in chain) for chain in chains)
+    return tuple(points), tuple(steps), cells
+
+
 def standard_simplex_triangulation(n, k):
     """Alcove triangulation of kT_n = conv{0, k e_1, ..., k e_n}.
 
-    k^n unimodular cells; a lattice point interior to an (n-r)-dimensional
-    face of kT_n lies in (n+1)!/(r+1)! of them.
+    k^n unimodular cells; a lattice point whose tight walls (x_i = 0 and
+    sum x = k) form cyclic runs of lengths r_1, ..., r_m lies in
+    (n+1)!/prod (r_i+1)! of them, which is (n+1)!/(r+1)! when its face of
+    kT_n has dimension n-r and the walls form one run.
     """
-    simplices = []
-    for chain in _alcove_cells_order_simplex(n, k):
-        simplices.append(make_simplex([_y_to_x(y) for y in chain]))
+    points, _, cells = _alcove_pattern(n, k)
+    simplices = [make_simplex([points[i] for i in c]) for c in cells]
     return Triangulation(dim=n, simplices=tuple(simplices), strategy="alcove")
 
 
@@ -247,18 +281,15 @@ def alcove_refine_cycle(verts, k):
     d = len(verts) - 1
     base = verts[0]
     cols = [vec_sub(v, base) for v in verts[1:]]
-    cells = []
-    for chain in _alcove_cells_order_simplex(d, k):
-        mapped = []
-        for y in chain:
-            x = _y_to_x(y)
-            p = tuple(
-                k * base[i] + sum(cols[j][i] * x[j] for j in range(d))
-                for i in range(len(base))
-            )
-            mapped.append(p)
-        cells.append(make_simplex(mapped))
-    return cells
+    _, steps, cells = _alcove_pattern(d, k)
+    # k*base + sum_j x_j cols[j] for every pattern point x, one column
+    # added per step
+    images = [tuple(k * b for b in base)]
+    for p, j in steps:
+        images.append(vec_add(images[p], cols[j]))
+    return [
+        LatticeSimplex(tuple(sorted([images[i] for i in c]))) for c in cells
+    ]
 
 
 def refine_anchored(small, m):
@@ -538,9 +569,17 @@ def _best_cycle_triangulation(cycle, valence):
 def level1_boundary(P):
     """Per-facet unimodular triangulation of the undilated boundary.
 
-    Returns a list of (facet, cells); raises NoStrategy when a facet fits
-    none of the built-in shapes.
+    Returns a tuple of (facet, cells), built once per polytope; raises
+    NoStrategy when a facet fits none of the built-in shapes.
     """
+    if P._level1 is None:
+        P._level1 = tuple(
+            (f, tuple(tuple(cell) for cell in cells)) for f, cells in _level1_cells(P)
+        )
+    return P._level1
+
+
+def _level1_cells(P):
     n = P.dim
     if n == 1:
         return [(f, [[f.vertices[0]]]) for f in P.facets]
@@ -839,16 +878,24 @@ def verify_regular_boundary(P, T, k):
 
     nonuni = [s for s in T.simplices if not s.is_unimodular()]
 
-    facet_aligned = True
-    for s in T.simplices:
-        on_some = False
-        for f in P.facets:
-            if all(f.value(v, k) == 0 for v in s.vertices):
-                on_some = True
-                break
-        if not on_some:
-            facet_aligned = False
-            break
+    # bit i of a point's mask: the point lies on facet i of kP, that is
+    # <normal, x> = -k offset; each distinct point is tested once, and a
+    # cell lies on a facet iff the masks of its vertices share a bit
+    planes = [(f.normal, -k * f.offset) for f in P.facets]
+    masks = {}
+
+    def facet_mask(p):
+        m = masks.get(p)
+        if m is None:
+            m = masks[p] = sum(
+                1 << i for i, (normal, level) in enumerate(planes)
+                if dot(normal, p) == level
+            )
+        return m
+
+    facet_aligned = all(
+        reduce(and_, map(facet_mask, s.vertices)) for s in T.simplices
+    )
 
     # the boundary of kP is a closed surface, so every ridge of a proper
     # triangulation lies in exactly two cells; a count of one flags two

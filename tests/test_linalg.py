@@ -1,10 +1,13 @@
 from fractions import Fraction
+from random import Random
 
 from hypothesis import example, given, settings, strategies as st
 
 from chowtool.geometry import Facet
 from chowtool.linalg import (
+    adjugate,
     det_int,
+    matmul,
     cross_normal,
     integer_root,
     rank_rational,
@@ -44,8 +47,17 @@ def test_det_matches_permanent_expansion():
         [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
         [[3, 0, 0, 1], [0, 2, 1, 0], [1, 1, 1, 1], [0, 0, 2, 5]],
     ]
+    rng = Random(3)
+    for n in range(1, 6):
+        for _ in range(20):
+            mats.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
     for m in mats:
         assert det_int(m) == brute_det(m)
+        n = len(m)
+        adj = adjugate(m)
+        assert matmul(adj, m) == matmul(m, adj) == tuple(
+            tuple(det_int(m) * (i == j) for j in range(n)) for i in range(n)
+        )
 
 
 def test_cross_normal_orthogonal():

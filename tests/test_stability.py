@@ -266,3 +266,39 @@ def test_special_implies_falsifier_silent():
         assert check_special(P).status == POLYSTABLE
         for k in (1, 2, 3):
             assert falsify(P, k) is None
+
+
+def test_broken_symmetry_search_is_an_error(monkeypatch):
+    # only OriginNotInterior is a reason to go without symmetry; any other
+    # failure of the search must not turn into "not symmetric" or an
+    # unreduced LP
+    import chowtool.stability as stability
+
+    def broken(P):
+        raise AssertionError("automorphism set not closed")
+
+    monkeypatch.setattr(stability, "is_symmetric", broken)
+    with pytest.raises(AssertionError):
+        classify(Polytope(X6.vertices))
+    monkeypatch.setattr(stability, "automorphisms", broken)
+    with pytest.raises(AssertionError):
+        falsify(Polytope(X6.vertices), 1)
+
+
+def test_weak_symmetry_check_runs_once_per_polytope(monkeypatch):
+    import chowtool.stability as stability
+
+    calls = []
+    real = stability.is_weakly_symmetric
+
+    def counted(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(stability, "is_weakly_symmetric", counted)
+    # reflexive, not symmetric and not weakly symmetric: the FO test feeds
+    # check_special, the necessity step and check_sufficient's path
+    P = Polytope([(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1)])
+    verdict = classify(P)
+    assert verdict.status == NOT_SEMISTABLE
+    assert len(calls) == 1

@@ -171,3 +171,32 @@ def test_symmetric_implies_weakly_symmetric():
         assert is_symmetric(P)
         ok, _ = is_weakly_symmetric(P)
         assert ok
+
+
+def test_automorphisms_full_sorted_group_on_catalog():
+    # valid, distinct and as many as the known group order: the whole
+    # group, in sorted order
+    from chowtool import catalog
+
+    for name, order in (
+        ("A3", 24), ("D3", 48), ("cube3", 48), ("cube4", 384), ("A5", 720)
+    ):
+        P = catalog.get(name).polytope
+        group = automorphisms(P)
+        assert len(group) == len(set(group)) == order
+        assert group == sorted(group)
+        vset = set(P.vertices)
+        for g in group:
+            assert abs(det_int(g)) == 1
+            assert {matvec(g, v) for v in vset} == vset
+
+
+def test_group_check_rejects_incomplete_sets():
+    from chowtool.symmetry import _check_group
+
+    for P in (X6, Polytope(list(iproduct([-1, 1], repeat=3)))):
+        group = automorphisms(P)
+        _check_group(group, P.dim)
+        for i in range(len(group)):
+            with pytest.raises(AssertionError):
+                _check_group(group[:i] + group[i + 1 :], P.dim)

@@ -274,3 +274,131 @@ def test_dilation_stratum_stability():
         for k in (2, 3, 4):
             maxima.append(max(incidence(boundary_triangulation(P, k)).values()))
         assert maxima[0] == maxima[1] == maxima[2]
+
+
+def _alcove_refine_cycle_by_points(verts, k):
+    """Oracle: the per-point alcove mapping, each chain point mapped from
+    scratch through k*base + sum_j x_j (v_j - base)."""
+    from chowtool.triangulation import _alcove_cells_order_simplex, _y_to_x
+
+    verts = [tuple(v) for v in verts]
+    d = len(verts) - 1
+    base = verts[0]
+    cols = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
+    cells = []
+    for chain in _alcove_cells_order_simplex(d, k):
+        mapped = []
+        for y in chain:
+            x = _y_to_x(y)
+            mapped.append(
+                tuple(
+                    k * base[i] + sum(cols[j][i] * x[j] for j in range(d))
+                    for i in range(len(base))
+                )
+            )
+        cells.append(make_simplex(mapped))
+    return cells
+
+
+def _random_unimodular_simplex(rng, d, n):
+    """Vertices base, base + u_1, ..., base + u_d for the first d columns
+    of a random matrix in GL(n, Z), in shuffled order."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    base = tuple(rng.randint(-3, 3) for _ in range(n))
+    verts = [base] + [
+        tuple(b + u[r][j] for r, b in enumerate(base)) for j in range(d)
+    ]
+    rng.shuffle(verts)
+    return verts
+
+
+def test_alcove_refine_cycle_matches_per_point_oracle():
+    from random import Random
+
+    from chowtool.triangulation import alcove_refine_cycle
+
+    rng = Random(20)
+    for d in range(1, 5):
+        for k in range(1, 5):
+            for n in (d, d + 1):
+                for _ in range(3):
+                    verts = _random_unimodular_simplex(rng, d, n)
+                    assert make_simplex(verts).is_unimodular()
+                    got = alcove_refine_cycle(verts, k)
+                    assert got == _alcove_refine_cycle_by_points(verts, k)
+                    assert len(got) == k ** d
+
+
+def test_cached_volume_matches_minor_gcd():
+    from random import Random
+
+    from chowtool.linalg import simplex_relative_volume_times_factorial
+
+    rng = Random(21)
+    seen_big = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        d = rng.randint(1, n)
+        verts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(d + 1)]
+        s = make_simplex(verts)
+        g = simplex_relative_volume_times_factorial(s.vertices)
+        assert s.volume_times_factorial == g
+        assert s.relative_volume() == Fraction(g, factorial(d))
+        assert s.is_unimodular() == (g == 1)
+        seen_big += g > 1
+    assert seen_big > 100
+    # a triangulation adds the cached values over one d!
+    cells = tuple(
+        make_simplex([(0, 0), (m, 0), (0, 1)]) for m in range(1, 6)
+    )
+    T = Triangulation(dim=2, simplices=cells)
+    assert T.relative_volume() == sum(s.relative_volume() for s in cells)
+    assert T.relative_volume() == Fraction(15, 2)
+
+
+def _cube4():
+    return Polytope(list(iproduct((-1, 1), repeat=4)))
+
+
+def test_verify_flags_face_incompatible_facet_subdivisions():
+    C = _cube4()
+    B = boundary_triangulation(C, 1)
+    assert verify_regular_boundary(C, B, 1).regular
+    # mirror the staircase cells of the facet x_1 = 1 in x_2: that facet
+    # alone is still a unimodular triangulation, but its squares shared
+    # with the facets x_3 = +-1 and x_4 = +-1 now carry the other diagonal
+    def flip(v):
+        return (v[0], -v[1]) + v[2:]
+
+    cells = [
+        make_simplex([flip(v) for v in s.vertices])
+        if all(v[0] == 1 for v in s.vertices)
+        else s
+        for s in B.simplices
+    ]
+    T = Triangulation(dim=3, simplices=tuple(cells))
+    census = T.ridge_census()
+    assert all(list(face) == sorted(face) for face in census)
+    assert 1 in census.values()
+    report = verify_regular_boundary(C, T, 1)
+    assert report.coverage_ok and report.all_unimodular and report.facet_aligned
+    assert not report.face_compatible
+    assert not report.regular
+
+
+def test_verify_flags_cell_on_no_facet():
+    octa = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    B = boundary_triangulation(octa, 1)
+    assert verify_regular_boundary(octa, B, 1).facet_aligned
+    # a unimodular triangle through the interior point 0: on no facet
+    inner = make_simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    assert inner.is_unimodular()
+    T = Triangulation(dim=2, simplices=B.simplices[1:] + (inner,))
+    report = verify_regular_boundary(octa, T, 1)
+    assert not report.facet_aligned
+    assert not report.regular
