@@ -9,19 +9,18 @@ row by the lcm of its denominators first and builds no Fraction.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, mul, sub
 
 
 def dot(a, b):
-    return sum(map(mul, a, b))
+    return sum(x * y for x, y in zip(a, b))
 
 
 def vec_sub(a, b):
-    return tuple(map(sub, a, b))
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_add(a, b):
-    return tuple(map(add, a, b))
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def integer_root(x, d):
@@ -57,22 +56,10 @@ def primitive(v):
 
 
 def det_int(rows):
-    """Exact determinant of a square integer matrix.
-
-    Closed-form cofactor expansion up to 3 x 3 (the cells of most
-    triangulations), Bareiss elimination beyond.
-    """
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(rows)
-    if n <= 3:
-        if n == 0:
-            return 1
-        if n == 1:
-            return rows[0][0]
-        if n == 2:
-            (a, b), (c, d) = rows
-            return a * d - b * c
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 0:
+        return 1
     a = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -189,8 +176,10 @@ def solve_rational(matrix, rhs):
 
 
 def matmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
 
 
 def matvec(a, v):

@@ -946,19 +946,18 @@ def falsify(P, k):
         if len(owners) != 2:
             continue
         (si, a), (sj, b) = owners
-        ridge = sorted(face)
-        # [ridge pts | a] is an affine basis (it spans simplex A), so the
+        # [face pts | a] is an affine basis (it spans simplex A), so the
         # square homogenized system below is always nonsingular
         mat = [
-            [ridge[j][i] for j in range(len(ridge))] + [a[i]] for i in range(n)
+            [face[j][i] for j in range(len(face))] + [a[i]] for i in range(n)
         ]
-        mat.append([1] * (len(ridge) + 1))
+        mat.append([1] * (len(face) + 1))
         target = list(b) + [1]
         sol = solve_rational(mat, target)
         assert sol is not None, "ridge system must be solvable"
         # b = sum alpha_r r + beta a; convexity: sum alpha f(r) + beta f(a) <= f(b)
         row = [Fraction(0)] * nvars
-        for coeff, pnt in zip(sol, ridge + [a]):
+        for coeff, pnt in zip(sol, face + (a,)):
             row[var_of[pnt]] += coeff
         row[var_of[b]] -= 1
         add_le(row, Fraction(0))

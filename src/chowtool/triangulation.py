@@ -287,9 +287,7 @@ def alcove_refine_cycle(verts, k):
     images = [tuple(k * b for b in base)]
     for p, j in steps:
         images.append(vec_add(images[p], cols[j]))
-    return [
-        LatticeSimplex(tuple(sorted([images[i] for i in c]))) for c in cells
-    ]
+    return [make_simplex([images[i] for i in c]) for c in cells]
 
 
 def refine_anchored(small, m):
