@@ -73,13 +73,17 @@ class _RawFacet:
         self.h = h  # inequality <normal, x> >= h
 
 
-def _facet_from_points(pts, inside_point):
-    """Build a raw simplicial facet through pts oriented toward inside_point."""
+def _facet_from_points(pts, inside_sum, inside_count):
+    """Build a raw simplicial facet through pts oriented toward an interior point.
+
+    The interior point is inside_sum / inside_count, kept as an integer
+    coordinate sum and a positive count so the side test stays in ints.
+    """
     edges = [vec_sub(p, pts[0]) for p in pts[1:]]
     normal = cross_normal(edges)
     normal = primitive(normal)
     h = dot(normal, pts[0])
-    side = sum(Fraction(c) * x for c, x in zip(normal, inside_point)) - h
+    side = dot(normal, inside_sum) - inside_count * h
     if side < 0:
         normal = tuple(-c for c in normal)
         h = -h
@@ -111,7 +115,7 @@ def convex_hull(points):
 
     base = _affine_basis(pts)
     simplex = [pts[i] for i in base]
-    inside = tuple(Fraction(sum(c), n + 1) for c in zip(*simplex))
+    inside_sum = tuple(sum(c) for c in zip(*simplex))
 
     facets = {}
     next_id = [0]
@@ -137,7 +141,7 @@ def convex_hull(points):
 
     for i in range(n + 1):
         face_pts = [simplex[j] for j in range(n + 1) if j != i]
-        add_facet(_facet_from_points(face_pts, inside))
+        add_facet(_facet_from_points(face_pts, inside_sum, n + 1))
 
     in_simplex = set(simplex)
     for p in pts:
@@ -159,7 +163,7 @@ def convex_hull(points):
         for fid in visible:
             remove_facet(fid)
         for ridge in horizon:
-            add_facet(_facet_from_points(list(ridge) + [p], inside))
+            add_facet(_facet_from_points(list(ridge) + [p], inside_sum, n + 1))
 
     for ridge, owners in ridge_map.items():
         if len(owners) != 2:

@@ -1,9 +1,12 @@
 """Exact integer and rational linear algebra.
 
 Everything here works on plain Python ints and fractions.Fraction; sizes are
-desk scale (n <= 8), so clarity wins over asymptotics.  Determinant and rank
-are fraction-free (Bareiss elimination on ints): rank scales each rational
-row by the lcm of its denominators first and builds no Fraction.
+desk scale (n <= 8), so clarity wins over asymptotics.  Determinant, rank,
+solve and cross_normal are fraction-free (Bareiss elimination on ints):
+rank and solve scale each rational row by the lcm of its denominators first,
+and solve builds one Fraction per unknown only at the end; cross_normal
+reads every maximal minor off one Gauss-Jordan pass.  The inverse is the
+integer adjugate over the determinant.
 """
 
 from fractions import Fraction
@@ -101,15 +104,55 @@ def cross_normal(vectors):
     """Integer normal to n-1 independent integer vectors in Z^n.
 
     Component k is (-1)^k times the minor obtained by deleting column k;
-    the result is orthogonal to every input vector.
+    the result is orthogonal to every input vector and is zero when the
+    vectors are dependent.  One fraction-free Gauss-Jordan pass finds every
+    minor at once: with pivots in all columns but the free one f, the pivot
+    block reads D times the identity, where D is the minor without column f
+    (up to the sign of the row swaps), and the free column holds the other
+    components of the kernel vector scaled by D.
     """
-    m = len(vectors)
+    a = [list(v) for v in vectors]
+    m = len(a)
     n = m + 1
-    normal = []
-    for k in range(n):
-        minor = [[v[j] for j in range(n) if j != k] for v in vectors]
-        normal.append((-1) ** k * det_int(minor))
+    sign = 1
+    prev = 1
+    free = None
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        for i in range(r, m):
+            if a[i][col]:
+                break
+        else:
+            if free is not None:
+                return (0,) * n
+            free = col
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        p = pivot_row[col]
+        for i in range(m):
+            if i != r:
+                row = a[i]
+                f = row[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+        pivots.append(col)
+    if free % 2:
+        sign = -sign
+    normal = [0] * n
+    normal[free] = sign * prev
+    for row, col in zip(a, pivots):
+        normal[col] = -sign * row[free]
     return tuple(normal)
+
+
+def _int_row(r):
+    """An int/Fraction row times the lcm of its denominators, as ints."""
+    den = lcm(*(x.denominator for x in r))
+    return [x.numerator * (den // x.denominator) for x in r]
 
 
 def rank_rational(rows):
@@ -119,10 +162,7 @@ def rank_rational(rows):
     so the division by the previous pivot is exact even when a column without
     a pivot is skipped.
     """
-    a = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        a.append([x.numerator * (den // x.denominator) for x in r])
+    a = [_int_row(r) for r in rows]
     if not a:
         return 0
     nrows, ncols = len(a), len(a[0])
@@ -154,25 +194,32 @@ def solve_rational(matrix, rhs):
     """Solve A x = b exactly; returns a tuple of Fractions or None.
 
     A must be square and nonsingular for a result; None signals singularity.
+    Entries may be ints or Fractions: each row and its right-hand side are
+    scaled to ints by the lcm of their denominators.  Fraction-free
+    Gauss-Jordan elimination then ends with the last pivot D equal to the
+    determinant of the row-swapped system and the last column equal to D x.
     """
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    a = [_int_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    n = len(a)
+    prev = 1
     for col in range(n):
-        pivot = None
         for i in range(col, n):
-            if a[i][col] != 0:
-                pivot = i
+            if a[i][col]:
                 break
-        if pivot is None:
+        else:
             return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
+        a[col], a[i] = a[i], a[col]
+        pivot_row = a[col]
+        p = pivot_row[col]
+        tail = pivot_row[col + 1 :]
+        # columns up to col are not read again: x is the last column over D
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(a[i][n] for i in range(n))
+            if i != col:
+                row = a[i]
+                f = row[col]
+                row[col + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
+        prev = p
+    return tuple(Fraction(row[n], prev) for row in a)
 
 
 def matmul(a, b):
@@ -191,26 +238,11 @@ def identity_matrix(n):
 
 
 def invert_rational(matrix):
-    """Exact inverse of a square matrix; None if singular."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
+    """Exact inverse of a square integer matrix, adj(A) / det(A); None if singular."""
+    det = det_int(matrix)
+    if det == 0:
+        return None
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adjugate(matrix))
 
 
 def integer_kernel_basis(rows):

@@ -58,7 +58,7 @@ from .triangulation import (
     delaunay_triangulation,
     verify_regular_boundary,
 )
-from .linalg import dot, vec_sub, det_int, rank_rational, solve_rational, primitive
+from .linalg import dot, vec_sub, rank_rational, solve_rational, primitive
 from .lp import solve_lp
 
 # polytopes whose weak-symmetry check would enumerate more points than this
@@ -161,20 +161,28 @@ def chow_gap(P, k, f):
     """
     n = P.dim
     vol_target = volume(P) * Fraction(k) ** n
-    total = Fraction(0)
-    integral = Fraction(0)
-    for s in f.carrier.simplices:
-        verts = s.vertices
-        edges = [vec_sub(v, verts[0]) for v in verts[1:]]
-        vol = Fraction(abs(det_int(edges)), _factorial(n))
-        total += vol
-        integral += vol * sum(f.values[v] for v in verts) / (n + 1)
+    total = f.carrier.relative_volume()
     if total != vol_target:
         raise CoverageError(f"carrier volume {total} != Vol(kP) = {vol_target}")
+    weight = _vertex_weights(f.carrier)
+    integral = Fraction(sum(f.values[v] * w for v, w in weight.items()), _factorial(n + 1))
     pts = lattice_points(P, k)
-    chi = len(pts)
-    discrete = sum(f.values[p] for p in pts) / chi
+    discrete = Fraction(sum(f.values[p] for p in pts), len(pts))
     return discrete - integral / vol_target
+
+
+def _vertex_weights(carrier):
+    """{v: sum of n! Vol(cell) over the carrier cells with vertex v}, in ints.
+
+    A function linear on each cell then integrates to
+    sum over v of f(v) * weight[v] / (n + 1)!.
+    """
+    weight = {}
+    for s in carrier.simplices:
+        vol = s.volume_times_factorial
+        for v in s.vertices:
+            weight[v] = weight.get(v, 0) + vol
+    return weight
 
 
 def scaled_fan_carrier(P, k):
@@ -973,27 +981,22 @@ def falsify(P, k):
     add_le(list(arow), Fraction(0))
     add_le([-x for x in arow], Fraction(0))
 
-    # objective: (1/Vol) integral - (1/chi) sum
-    vol_target = volume(P) * Fraction(k) ** n
-    objective = [Fraction(0)] * nvars
-    for s in carrier.simplices:
-        verts = s.vertices
-        edges = [vec_sub(v, verts[0]) for v in verts[1:]]
-        vol = Fraction(abs(det_int(edges)), _factorial(n))
-        share = vol / (len(verts) * vol_target)
-        for v in verts:
-            objective[var_of[v]] += share
+    # objective: (1/Vol) integral - (1/chi) sum, with integer volume weights
+    # and point counts gathered per variable before the one division each
+    vol_weight = [0] * nvars
+    for v, w in _vertex_weights(carrier).items():
+        vol_weight[var_of[v]] += w
+    hits = [0] * nvars
     for p in pts:
         for v, w in locate(p):
-            objective[var_of[v]] -= w / chi
+            hits[var_of[v]] += w
+    vol_den = volume(P) * k**n * _factorial(n + 1)
+    objective = [w / vol_den - Fraction(h) / chi for w, h in zip(vol_weight, hits)]
 
     # deduplicate constraint rows
-    seen = {}
-    for row, b in zip(rows, rhs):
-        key = (row, b)
-        seen[key] = True
-    rows2 = [list(r) for r, _ in seen]
-    rhs2 = [b for _, b in seen]
+    unique = dict.fromkeys(zip(rows, rhs))
+    rows2 = [list(r) for r, _ in unique]
+    rhs2 = [b for _, b in unique]
 
     value, x = solve_lp(objective, rows2, rhs2)
     if value <= 0:

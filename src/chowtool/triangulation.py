@@ -38,6 +38,7 @@ from .linalg import (
     vec_sub,
     vec_add,
     det_int,
+    cross_normal,
     integer_root,
     solve_rational,
     rank_rational,
@@ -72,9 +73,9 @@ class LatticeSimplex:
         verts = self.vertices
         d = self.dim
         n = len(verts[0])
-        rows = [[Fraction(verts[j][i]) for j in range(d + 1)] for i in range(n)]
-        rows.append([Fraction(1)] * (d + 1))
-        rhs = [Fraction(x) for x in point] + [Fraction(1)]
+        rows = [[verts[j][i] for j in range(d + 1)] for i in range(n)]
+        rows.append([1] * (d + 1))
+        rhs = list(point) + [1]
         chosen, chosen_rhs = [], []
         for i in range(len(rows)):
             cand = chosen + [rows[i]]
@@ -809,16 +810,13 @@ def delaunay_triangulation(points):
         return Triangulation(dim=1, simplices=tuple(cells), strategy="delaunay")
     lifted = [p + (sum(x * x for x in p),) for p in pts]
     verts, facets, raw = convex_hull(lifted)
-    inside = tuple(Fraction(sum(c), len(lifted)) for c in zip(*lifted))
+    # the interior point is inside_sum / len(lifted); the side test stays in ints
+    inside_sum = tuple(sum(c) for c in zip(*lifted))
     cells = []
     for simplex in raw:
         edges = [vec_sub(q, simplex[0]) for q in simplex[1:]]
-        from .linalg import cross_normal, primitive as _prim
-
         normal = cross_normal(edges)
-        side = sum(Fraction(c) * x for c, x in zip(normal, inside)) - dot(
-            normal, simplex[0]
-        )
+        side = dot(normal, inside_sum) - len(lifted) * dot(normal, simplex[0])
         if side < 0:
             normal = tuple(-c for c in normal)
         if normal[-1] <= 0:

@@ -122,8 +122,7 @@ def test_dual_pairs_up_to_lattice_isomorphism():
 
 def lattice_isomorphic(P, Q):
     """Search for U in GL(n, Z) with U . vertices(P) = vertices(Q)."""
-    from chowtool.linalg import invert_rational, matvec, det_int, rank_rational
-    from fractions import Fraction
+    from chowtool.linalg import adjugate, matvec, det_int, rank_rational
 
     if P.dim != Q.dim or len(P.vertices) != len(Q.vertices):
         return False
@@ -137,7 +136,10 @@ def lattice_isomorphic(P, Q):
             rows.append(v)
             if len(base) == n:
                 break
-    base_inv = invert_rational([list(col) for col in zip(*base)])
+    # inverse of the base matrix B is adj(B) / det(B)
+    base_cols = [list(col) for col in zip(*base)]
+    base_adj = adjugate(base_cols)
+    base_det = det_int(base_cols)
     from itertools import permutations
 
     qverts = set(Q.vertices)
@@ -148,10 +150,10 @@ def lattice_isomorphic(P, Q):
         for i in range(n):
             row = []
             for j in range(n):
-                x = sum(Fraction(cols[i][l]) * base_inv[l][j] for l in range(n))
-                if x.denominator != 1:
+                x, r = divmod(sum(cols[i][l] * base_adj[l][j] for l in range(n)), base_det)
+                if r:
                     return False
-                row.append(int(x))
+                row.append(x)
             g.append(tuple(row))
         if abs(det_int(g)) != 1:
             return False

@@ -10,6 +10,7 @@ from chowtool.linalg import (
     matmul,
     cross_normal,
     integer_root,
+    invert_rational,
     rank_rational,
     solve_rational,
     integer_kernel_basis,
@@ -58,6 +59,11 @@ def test_det_matches_permanent_expansion():
         assert matmul(adj, m) == matmul(m, adj) == tuple(
             tuple(det_int(m) * (i == j) for j in range(n)) for i in range(n)
         )
+        inv = invert_rational(m)
+        if det_int(m) == 0:
+            assert inv is None
+        else:
+            assert matmul(inv, m) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def test_cross_normal_orthogonal():
@@ -65,6 +71,43 @@ def test_cross_normal_orthogonal():
     n = cross_normal(vectors)
     assert all(sum(a * b for a, b in zip(n, v)) == 0 for v in vectors)
     assert any(n)
+
+
+def minor_normal(vectors):
+    # the definition: (-1)^k times the minor without column k
+    n = len(vectors) + 1
+    return tuple(
+        (-1) ** k * det_int([[v[j] for j in range(n) if j != k] for v in vectors])
+        for k in range(n)
+    )
+
+
+def test_cross_normal_matches_minors():
+    rng = Random(5)
+    deficient = 0
+    for n in range(2, 9):
+        for trial in range(150):
+            bound = rng.choice([1, 2, 9])
+            vectors = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n - 1)]
+            if n > 2 and trial % 3 == 1:
+                # a combination of two other rows: rank n - 2
+                i, j, l = rng.sample(range(n - 1), 3) if n > 3 else (0, 1, 1)
+                vectors[i] = [2 * x - 3 * y for x, y in zip(vectors[j], vectors[l])]
+            elif trial % 3 == 2:
+                # a zero column or a zero row moves or removes the free column
+                c = rng.randrange(n)
+                for v in vectors:
+                    v[c] = 0
+                if trial % 2:
+                    vectors[rng.randrange(n - 1)] = [0] * n
+            want = minor_normal(vectors)
+            deficient += not any(want)
+            assert cross_normal(vectors) == want, vectors
+    assert deficient > 100
+    assert cross_normal([[0, 0, 1], [0, 0, 2]]) == (0, 0, 0)
+    # the free column comes first, with no row swap
+    assert cross_normal([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == (1, 0, 0, 0)
+    assert cross_normal([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == (0, -1, 0, 0)
 
 
 def test_rank_and_solve():
@@ -161,6 +204,53 @@ def test_rank_skips_pivotless_columns():
     # column 0 is zero and column 2 repeats column 1 up to a rational factor
     rows = [[0, 2, 1, 5], [0, 4, 2, 1], [0, Fraction(1, 3), Fraction(1, 6), 7]]
     assert rank_rational(rows) == reference_rank(rows) == 2
+
+
+def reference_solve(matrix, rhs):
+    # plain Fraction Gauss-Jordan elimination, the oracle for the fraction-free solver
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return tuple(a[i][n] for i in range(n))
+
+
+@st.composite
+def _systems(draw):
+    """Square systems up to 8x8, int or rational, some of them singular."""
+    n = draw(st.integers(0, 8))
+    entry = draw(st.sampled_from([_INT, st.one_of(_INT, _NON_INTEGRAL)]))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        rows = draw(st.permutations(rows))
+    return rows, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example(([], []))
+@example(([[0, 0], [0, 0]], [1, 1]))
+@example(([[0, 1], [1, 0]], [2, 3]))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], [Fraction(1, 5), 2]))
+def test_solve_matches_fraction_gauss_jordan(system):
+    matrix, rhs = system
+    want = reference_solve(matrix, rhs)
+    got = solve_rational(matrix, rhs)
+    assert got == want
+    if want is None:
+        assert reference_rank(matrix) < len(matrix)
+    else:
+        assert all(isinstance(x, Fraction) for x in got)
 
 
 def test_integer_root_beyond_float_range():

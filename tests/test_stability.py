@@ -13,6 +13,7 @@ from chowtool.geometry import (
     lattice_points,
 )
 from chowtool.ehrhart import count
+from chowtool.linalg import det_int
 from chowtool.symmetry import AffineFunctional, fo_invariant
 from chowtool.triangulation import delaunay_triangulation, Triangulation, make_simplex
 from chowtool.stability import (
@@ -59,6 +60,10 @@ def test_chow_gap_abs_x1_on_square():
     # oracle: 9-point sum 6/9 = 2/3 and exact integral 2 over area 4
     f = abs_x1_function(X8, 1)
     assert chow_gap(X8, 1, f) == Fraction(2, 3) - Fraction(1, 2) == Fraction(1, 6)
+    # int values give the same exact gap, never a float
+    f.values = {p: int(v) for p, v in f.values.items()}
+    gap = chow_gap(X8, 1, f)
+    assert isinstance(gap, Fraction) and gap == Fraction(1, 6)
 
 
 def test_chow_gap_affine_vanishes_on_symmetric():
@@ -214,6 +219,36 @@ def test_falsify_lp_dominates_feasible_cap():
     cap_gap = chow_gap(D6, 1, cap)
     cert = falsify(D6, 1)
     assert cert.gap <= cap_gap < 0
+
+
+def per_cell_chow_gap(P, k, f):
+    """chow_gap as a per-cell Fraction sum over det_int volumes, the oracle
+    for the integer vertex weights."""
+    n = P.dim
+    vol_target = volume(P) * Fraction(k) ** n
+    total = Fraction(0)
+    integral = Fraction(0)
+    for s in f.carrier.simplices:
+        verts = s.vertices
+        edges = [tuple(x - y for x, y in zip(v, verts[0])) for v in verts[1:]]
+        vol = Fraction(abs(det_int(edges)), factorial(n))
+        total += vol
+        integral += vol * sum(f.values[v] for v in verts) / (n + 1)
+    assert total == vol_target
+    pts = lattice_points(P, k)
+    return sum(f.values[p] for p in pts) / len(pts) - integral / vol_target
+
+
+def test_chow_gap_matches_per_cell_sum_on_certificates():
+    # the LP certificate of falsify(D(cube5), 1) and the cap of D(cube7)
+    D5 = double_cone(cube(5))
+    cert = falsify(D5, 1)
+    assert cert is not None
+    assert chow_gap(D5, 1, cert.function) == per_cell_chow_gap(D5, 1, cert.function) == cert.gap
+    D7, cap = double_cone_cap(cube(7), 1)
+    assert len(cap.carrier) == 10080
+    gap = chow_gap(D7, 1, cap)
+    assert gap == per_cell_chow_gap(D7, 1, cap) < 0
 
 
 def test_classify_products():
