@@ -149,10 +149,13 @@ def cross_normal(vectors):
     return tuple(normal)
 
 
-def _int_row(r):
-    """An int/Fraction row times the lcm of its denominators, as ints."""
-    den = lcm(*(x.denominator for x in r))
-    return [x.numerator * (den // x.denominator) for x in r]
+def _int_rows(rows):
+    """int/Fraction rows, each times the lcm of its denominators, as int lists."""
+    out = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (den // x.denominator) for x in r])
+    return out
 
 
 def rank_rational(rows):
@@ -162,7 +165,7 @@ def rank_rational(rows):
     so the division by the previous pivot is exact even when a column without
     a pivot is skipped.
     """
-    a = [_int_row(r) for r in rows]
+    a = _int_rows(rows)
     if not a:
         return 0
     nrows, ncols = len(a), len(a[0])
@@ -199,7 +202,7 @@ def solve_rational(matrix, rhs):
     Gauss-Jordan elimination then ends with the last pivot D equal to the
     determinant of the row-swapped system and the last column equal to D x.
     """
-    a = [_int_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    a = _int_rows(list(row) + [b] for row, b in zip(matrix, rhs))
     n = len(a)
     prev = 1
     for col in range(n):
