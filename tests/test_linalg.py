@@ -105,7 +105,7 @@ def test_cross_normal_matches_minors():
             assert cross_normal(vectors) == want, vectors
     assert deficient > 100
     assert cross_normal([[0, 0, 1], [0, 0, 2]]) == (0, 0, 0)
-    # the free column comes first, with no row swap
+    # free column 0, then free column 1, both without a row swap
     assert cross_normal([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == (1, 0, 0, 0)
     assert cross_normal([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == (0, -1, 0, 0)
 
