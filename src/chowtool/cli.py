@@ -4,9 +4,6 @@ Subcommands: analyze, ehrhart, symmetry, triangulate, equations, catalog,
 falsify.  Inputs are polytope JSON files or catalog names ("catalog:X6" or
 a bare registered name).  Exit codes: 0 success, 1 input error, 2 when
 analyze ends inconclusive (scripts can tell "proved nothing" from "error").
-
-CHOWTOOL_THREADS bounds internal parallelism; the current implementation is
-serial (a bound of 1 is always honored), the variable is validated only.
 """
 
 import argparse
@@ -41,17 +38,6 @@ def _load_input(spec):
         return _catalog.get(spec).polytope
     except UnknownName:
         raise ParseError(f"no such file or catalog entry: {spec}") from None
-
-
-def _threads():
-    raw = os.environ.get("CHOWTOOL_THREADS", "1")
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise ParseError(f"CHOWTOOL_THREADS must be an integer, got {raw!r}")
-    if bound < 1:
-        raise ParseError("CHOWTOOL_THREADS must be >= 1")
-    return bound
 
 
 def cmd_analyze(args):
@@ -289,7 +275,6 @@ def main(argv=None):
     if getattr(args, "command", None) == "catalog" and args.action == "show" and not args.name:
         parser.error("catalog show needs a name")
     try:
-        _threads()
         if hasattr(args, "kmax") and args.kmax is not None and args.kmax < 1:
             raise ParseError("--kmax must be >= 1")
         return args.func(args)

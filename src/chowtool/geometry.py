@@ -22,6 +22,7 @@ from .linalg import (
     det_int,
     cross_normal,
     rank_rational,
+    independent_rows,
     integer_kernel_basis,
     solve_rational,
 )
@@ -52,16 +53,10 @@ class Facet:
 def _affine_basis(points):
     """Indices of an affinely independent subset spanning the ambient space."""
     n = len(points[0])
-    base = [0]
-    rows = []
-    for i in range(1, len(points)):
-        cand = rows + [vec_sub(points[i], points[0])]
-        if rank_rational(cand) == len(cand):
-            rows = cand
-            base.append(i)
-            if len(base) == n + 1:
-                return base
-    raise NotFullDimensional(n, len(base) - 1)
+    kept = independent_rows(vec_sub(p, points[0]) for p in points[1:])
+    if len(kept) < n:
+        raise NotFullDimensional(n, len(kept))
+    return [0] + [i + 1 for i in kept]
 
 
 class _RawFacet:
@@ -370,6 +365,23 @@ def lattice_points(P, k):
     return out
 
 
+def adjacent_vertices(P, v):
+    """The vertices joined to the vertex v by an edge, in vertex order.
+
+    v and w span an edge exactly when the facets tight at both have rank
+    n - 1; a segment (n = 1) has no pair passing this test.
+    """
+    at_v = [f for f in P.facets if f.value(v) == 0]
+    out = []
+    for w in P.vertices:
+        if w == v:
+            continue
+        active = [f.normal for f in at_v if f.value(w) == 0]
+        if active and rank_rational(active) == P.dim - 1:
+            out.append(w)
+    return out
+
+
 def interior_lattice_points(P, k=1):
     return [v for v in lattice_points(P, k) if P.strictly_contains(v, k)]
 
@@ -378,17 +390,17 @@ def boundary_lattice_points(P, k=1):
     return [v for v in lattice_points(P, k) if not P.strictly_contains(v, k)]
 
 
-def _fan_simplices(P):
-    """Fan (placing) decomposition from the lexicographically least vertex.
+def _fan_simplices(P, apex=None):
+    """Fan (placing) decomposition from a vertex, by default the least one.
 
-    Yields full-dimensional simplices (v0, s_1..s_n) covering P, one per raw
-    boundary simplex not containing v0.
+    Yields full-dimensional simplices (apex, s_1..s_n) covering P, one per
+    raw boundary simplex not containing the apex.
     """
-    v0 = P.vertices[0]
+    if apex is None:
+        apex = P.vertices[0]
     for simplex in P.raw_boundary_simplices():
-        if v0 in simplex:
-            continue
-        yield (v0,) + simplex
+        if apex not in simplex:
+            yield (apex,) + simplex
 
 
 def volume(P):
@@ -454,21 +466,8 @@ def _solve_integer_least(cols, target):
     """Solve cols * x = target where cols is n x d of rank d; x integral."""
     n = len(cols)
     d = len(cols[0])
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append(list(cols[i]))
-        rhs.append(target[i])
-    # pick d independent rows
-    chosen, chosen_rhs = [], []
-    for i in range(n):
-        cand = chosen + [rows[i]]
-        if rank_rational(cand) == len(cand):
-            chosen = cand
-            chosen_rhs.append(rhs[i])
-            if len(chosen) == d:
-                break
-    sol = solve_rational(chosen, chosen_rhs)
+    kept = independent_rows(cols)
+    sol = solve_rational([cols[i] for i in kept], [target[i] for i in kept])
     assert sol is not None
     assert all(x.denominator == 1 for x in sol), "facet point outside facet lattice"
     sol = tuple(int(x) for x in sol)

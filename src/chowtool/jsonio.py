@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .errors import ParseError
-from .geometry import Polytope
+from .geometry import Polytope, adjacent_vertices
 from .triangulation import Triangulation, make_simplex
 
 
@@ -142,19 +142,10 @@ def _project(p):
 
 
 def _edges(P):
-    from .linalg import rank_rational, vec_sub
-
-    n = P.dim
-    out = []
-    verts = P.vertices
-    if n == 1:
-        return [(verts[0], verts[1])]
-    for i, v in enumerate(verts):
-        for w in verts[i + 1 :]:
-            active = [f.normal for f in P.facets if f.value(v) == 0 and f.value(w) == 0]
-            if active and rank_rational(active) == n - 1:
-                out.append((v, w))
-    return out
+    """Vertex pairs (v, w), v before w, to draw; a segment is its own edge."""
+    if P.dim == 1:
+        return [P.vertices]
+    return [(v, w) for v in P.vertices for w in adjacent_vertices(P, v) if v < w]
 
 
 def render_svg(P):

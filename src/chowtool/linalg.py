@@ -2,11 +2,12 @@
 
 Everything here works on plain Python ints and fractions.Fraction; sizes are
 desk scale (n <= 8), so clarity wins over asymptotics.  Determinant, rank,
-solve and cross_normal are fraction-free (Bareiss elimination on ints):
-rank and solve scale each rational row by the lcm of its denominators first,
-and solve builds one Fraction per unknown only at the end; cross_normal
-reads every maximal minor off one Gauss-Jordan pass.  The inverse is the
-integer adjugate over the determinant.
+independent-row selection, solve and cross_normal are fraction-free
+(elimination on ints): rank, row selection and solve scale each rational
+row by the lcm of its denominators first, and solve builds one Fraction per
+unknown only at the end; cross_normal reads every maximal minor off one
+Gauss-Jordan pass.  The inverse is the integer adjugate over the
+determinant.
 """
 
 from fractions import Fraction
@@ -191,6 +192,33 @@ def rank_rational(rows):
         if rank == full:
             break
     return rank
+
+
+def independent_rows(rows):
+    """Indices of the rows a greedy pass keeps, in input order.
+
+    A row is kept when it is independent of the rows kept before it.  Each
+    row is reduced in ints against the kept pivots (every pivot row is zero
+    in the pivot columns before its own) and kept when a nonzero remains;
+    the pass stops once the kept rows span the whole space, so rows may be
+    a lazy iterable.
+    """
+    kept = []
+    pivots = []  # (column, reduced row)
+    for idx, row in enumerate(rows):
+        (r,) = _int_rows([row])
+        for col, p in pivots:
+            if r[col]:
+                r = [p[col] * x - r[col] * y for x, y in zip(r, p)]
+        col = next((j for j, x in enumerate(r) if x), None)
+        if col is None:
+            continue
+        g = vec_gcd(r)
+        pivots.append((col, [x // g for x in r]))
+        kept.append(idx)
+        if len(kept) == len(r):
+            break
+    return kept
 
 
 def solve_rational(matrix, rhs):

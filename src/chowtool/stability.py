@@ -26,18 +26,21 @@ from .errors import (
     CoverageError,
     NoStrategy,
     NonIntegralCut,
+    NotFullDimensional,
     NotReflexive,
     NoTriangulation,
     OriginNotInterior,
 )
 from .geometry import (
     Polytope,
+    adjacent_vertices,
     volume,
     centroid,
     lattice_points,
     double_cone,
     facet_relative_volume,
     _factorial,
+    _fan_simplices,
 )
 from .ehrhart import count
 from .symmetry import (
@@ -57,8 +60,10 @@ from .triangulation import (
     full_triangulation,
     delaunay_triangulation,
     verify_regular_boundary,
+    staircase_chain,
+    _facet_as_aligned_box,
 )
-from .linalg import dot, vec_sub, rank_rational, solve_rational, primitive
+from .linalg import dot, vec_sub, independent_rows, solve_rational, primitive
 from .lp import solve_lp
 
 # polytopes whose weak-symmetry check would enumerate more points than this
@@ -187,16 +192,9 @@ def _vertex_weights(carrier):
 
 def scaled_fan_carrier(P, k):
     """Carrier for functions linear on all of kP: the k-scaled vertex fan."""
-    cells = []
-    v0 = P.vertices[0]
-    for s in P.raw_boundary_simplices():
-        if v0 in s:
-            continue
-        cells.append(
-            make_simplex(
-                [tuple(k * x for x in v0)] + [tuple(k * x for x in p) for p in s]
-            )
-        )
+    cells = [
+        make_simplex(tuple(k * x for x in p) for p in s) for s in _fan_simplices(P)
+    ]
     return Triangulation(dim=P.dim, simplices=tuple(cells), strategy="scaled-fan")
 
 
@@ -222,47 +220,21 @@ def affine_pl_function(P, k, a, sign=1):
 # ---------------------------------------------------------------------------
 
 
-def _as_box(Q):
-    """(los, his) when the vertex set of Q is a full coordinate box, else None."""
-    n = Q.dim
-    los = [min(v[i] for v in Q.vertices) for i in range(n)]
-    his = [max(v[i] for v in Q.vertices) for i in range(n)]
-    if any(lo == hi for lo, hi in zip(los, his)):
-        return None
-    from itertools import product as iproduct
-
-    expected = set(iproduct(*zip(los, his)))
-    if expected == set(Q.vertices):
-        return los, his
-    return None
-
-
 def corner_triangulation(Q):
     """Simplices with vertices among Q's vertices covering Q.
 
     Boxes use the scaled staircase (no hull run); everything else takes the
     placing fan from the least vertex over the raw hull boundary.
     """
-    box = _as_box(Q)
-    cells = []
+    box = _facet_as_aligned_box(Q)
     if box is not None:
-        los, his = box
-        steps = [hi - lo for lo, hi in zip(*box)]
-        n = Q.dim
-        for sigma in permutations(range(n)):
-            chain = [tuple(los)]
-            cur = list(los)
-            for j in sigma:
-                cur[j] += steps[j]
-                chain.append(tuple(cur))
-            cells.append(tuple(chain))
-        return cells
-    v0 = Q.vertices[0]
-    for s in Q.raw_boundary_simplices():
-        if v0 in s:
-            continue
-        cells.append((v0,) + tuple(s))
-    return cells
+        _, los, his = box
+        steps = [hi - lo for lo, hi in zip(los, his)]
+        return [
+            tuple(staircase_chain(los, steps, sigma))
+            for sigma in permutations(range(Q.dim))
+        ]
+    return list(_fan_simplices(Q))
 
 
 def bipyramid_carrier(Q):
@@ -282,20 +254,16 @@ def bipyramid_carrier(Q):
         dim=n + 1, simplices=tuple(simplices), strategy="bipyramid"
     )
 
-    box = _as_box(Q)
+    box = _facet_as_aligned_box(Q)
 
     def locate_base(p):
         """Barycentric weights of p inside some base cell of Q."""
         if box is not None:
-            los, his = box
+            _, los, his = box
             steps = [hi - lo for lo, hi in zip(los, his)]
             u = [Fraction(p[i] - los[i], steps[i]) for i in range(n)]
             order = sorted(range(n), key=lambda i: (-u[i], i))
-            chain = [tuple(los)]
-            cur = list(los)
-            for j in order:
-                cur[j] += steps[j]
-                chain.append(tuple(cur))
+            chain = staircase_chain(los, steps, order)
             lams = []
             lams.append(1 - u[order[0]])
             for t in range(n - 1):
@@ -432,17 +400,7 @@ def double_cone_instability(Q, k_scan=16):
 
 def _edges_at_vertex(P, v):
     """Primitive edge directions of P at the vertex v."""
-    n = P.dim
-    dirs = []
-    for w in P.vertices:
-        if w == v:
-            continue
-        active = [
-            f.normal for f in P.facets if f.value(v) == 0 and f.value(w) == 0
-        ]
-        if active and rank_rational(active) == n - 1:
-            dirs.append(primitive(vec_sub(w, v)))
-    return sorted(set(dirs))
+    return sorted({primitive(vec_sub(w, v)) for w in adjacent_vertices(P, v)})
 
 
 def vertex_cap_instability(P, v):
@@ -536,16 +494,10 @@ def vertex_cap_instability(P, v):
 
 def _solve_functional(dirs, d):
     """Integral u with <u, e> = -1 for all edge directions e, or None."""
-    rows, rhs = [], []
-    for e in dirs:
-        cand = rows + [list(e)]
-        if rank_rational(cand) == len(cand):
-            rows, rhs = cand, rhs + [-1]
-            if len(rows) == d:
-                break
-    if len(rows) < d:
+    kept = independent_rows(dirs)
+    if len(kept) < d:
         return None
-    sol = solve_rational(rows, rhs)
+    sol = solve_rational([dirs[i] for i in kept], [-1] * d)
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
     u = tuple(int(x) for x in sol)
@@ -567,30 +519,19 @@ def _vertex_cap_function(P, v, u, k):
     kv = tuple(k * x for x in v)
     dirs = _edges_at_vertex(P, v)
     base_pts = [tuple(k * a + b for a, b in zip(v, e)) for e in dirs]
-    base_poly_pts = sorted(base_pts)
-    cap_cells = []
-    base_hull = Polytope(base_poly_pts + [kv])  # cap pyramid
-    for s in base_hull.raw_boundary_simplices():
-        if kv in s:
-            continue
-        cap_cells.append((kv,) + tuple(s))
+    cap = Polytope(sorted(base_pts) + [kv])  # cap pyramid
     rest_verts = sorted(
         set(tuple(k * x for x in w) for w in P.vertices if w != v)
         | set(base_pts)
     )
     try:
         rest = Polytope(rest_verts)
-    except Exception:
+    except NotFullDimensional:
         return None
-    w0 = rest.vertices[0]
-    rest_cells = []
-    for s in rest.raw_boundary_simplices():
-        if w0 in s:
-            continue
-        rest_cells.append((w0,) + tuple(s))
+    cells = list(_fan_simplices(cap, kv)) + list(_fan_simplices(rest))
     carrier = Triangulation(
         dim=d,
-        simplices=tuple(make_simplex(c) for c in cap_cells + rest_cells),
+        simplices=tuple(make_simplex(c) for c in cells),
         strategy="vertex-cap split",
     )
     values = {}

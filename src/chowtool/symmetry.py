@@ -16,12 +16,19 @@ from fractions import Fraction
 
 from .errors import OriginNotInterior
 from .geometry import centroid, lattice_points, volume
-from .ehrhart import count, moment_sum, lagrange_interpolate, evaluate_polynomial
+from .ehrhart import (
+    count,
+    moment_sum,
+    moment_polynomials,
+    lagrange_interpolate,
+    evaluate_polynomial,
+)
 from .linalg import (
     dot,
     matmul,
     matvec,
     identity_matrix,
+    independent_rows,
     rank_rational,
     det_int,
     adjugate,
@@ -83,12 +90,7 @@ def automorphisms(P):
     verts = list(P.vertices)
     q = _gram_form(P)
 
-    base = []
-    for v in verts:
-        if rank_rational(base + [v]) == len(base) + 1:
-            base.append(v)
-            if len(base) == n:
-                break
+    base = [verts[i] for i in independent_rows(verts)]
     assert len(base) == n, "vertices of a full-dimensional 0-interior polytope span"
 
     # columns of the base matrix are the base vertices
@@ -321,11 +323,7 @@ def is_weakly_symmetric(P):
                 return False, FOWitness(coordinate=i, k=k, value=value)
     count_samples = [(k, count(P, k)) for k in range(n + 2)]
     count_poly = tuple(lagrange_interpolate(count_samples))
-    mom_samples = [moment_sum(P, k) if k else (0,) * n for k in range(n + 2)]
-    mom_polys = tuple(
-        tuple(lagrange_interpolate([(k, mom_samples[k][i]) for k in range(n + 2)]))
-        for i in range(n)
-    )
+    mom_polys = tuple(tuple(p) for p in moment_polynomials(P))
     cert = WeakSymmetryCertificate(
         dim=n,
         checked_ks=tuple(range(1, n + 4)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import OriginMissing
 from .geometry import lattice_points
-from .linalg import integer_kernel_basis, hermite_normal_form
+from .linalg import integer_kernel_basis
 
 KERNEL_BASIS_NOTE = (
     "kernel-basis generators -- cuts out the torus-closure birationally, "
@@ -136,13 +136,6 @@ def binomial_equations(P):
         assert eq.degree() == sum(e for _, e in rhs) + a, "inhomogeneous relation"
         equations.append(eq)
     return pts, equations
-
-
-def relations_equivalent(vetors_a, vectors_b):
-    """True iff two relation sets span the same lattice over Z."""
-    ha = hermite_normal_form([list(v) for v in vetors_a])
-    hb = hermite_normal_form([list(v) for v in vectors_b])
-    return ha == hb
 
 
 def render_equations(P, name=None):

@@ -19,16 +19,18 @@ makes the per-facet assembly face-compatible.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from itertools import product as iter_product
+from functools import cached_property, cmp_to_key, lru_cache, reduce
+from itertools import permutations, product as iter_product
 from operator import and_
 
 from .errors import NoStrategy, NotReflexive
 from .geometry import (
     Polytope,
+    centroid,
     facet_coordinates,
     facet_relative_volume,
     boundary_volume,
+    lattice_points,
     volume,
     convex_hull,
     _factorial,
@@ -40,8 +42,10 @@ from .linalg import (
     det_int,
     cross_normal,
     integer_root,
+    independent_rows,
+    primitive,
     solve_rational,
-    rank_rational,
+    vec_gcd,
     simplex_relative_volume_times_factorial,
 )
 
@@ -76,15 +80,8 @@ class LatticeSimplex:
         rows = [[verts[j][i] for j in range(d + 1)] for i in range(n)]
         rows.append([1] * (d + 1))
         rhs = list(point) + [1]
-        chosen, chosen_rhs = [], []
-        for i in range(len(rows)):
-            cand = chosen + [rows[i]]
-            if rank_rational(cand) == len(cand):
-                chosen = cand
-                chosen_rhs.append(rhs[i])
-                if len(chosen) == d + 1:
-                    break
-        sol = solve_rational(chosen, chosen_rhs)
+        kept = independent_rows(rows)
+        sol = solve_rational([rows[i] for i in kept], [rhs[i] for i in kept])
         if sol is None:
             return None
         for i in range(len(rows)):
@@ -307,29 +304,27 @@ def refine_anchored(small, m):
     return out
 
 
+def staircase_chain(origin, steps, order):
+    """The staircase cell origin, then one step of steps[j] along each
+    coordinate j in the given order: the vertex chain of one cell of the
+    Freudenthal triangulation of a box with edge lengths steps."""
+    chain = [tuple(origin)]
+    cur = list(origin)
+    for j in order:
+        cur[j] += steps[j]
+        chain.append(tuple(cur))
+    return chain
+
+
 def _freudenthal_box_cells(los, his):
     """Staircase cells of an axis-aligned integer box, one chain per unit cell."""
     d = len(los)
-    cells = []
-    ranges = [range(lo, hi) for lo, hi in zip(los, his)]
-    for m in iter_product(*ranges):
-        for chain in _permutation_chains(d):
-            pts = [m]
-            cur = list(m)
-            for j in chain:
-                cur[j] += 1
-                pts.append(tuple(cur))
-            cells.append(pts)
-    return cells
-
-
-def _permutation_chains(d):
-    if d == 0:
-        yield ()
-        return
-    from itertools import permutations
-
-    yield from permutations(range(d))
+    unit = (1,) * d
+    return [
+        staircase_chain(m, unit, order)
+        for m in iter_product(*(range(lo, hi) for lo, hi in zip(los, his)))
+        for order in permutations(range(d))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +341,11 @@ def _embed(active, fixed, point):
 
 
 def _facet_as_aligned_box(facet):
-    """Detect an axis-aligned box facet; returns (active coords, lows, highs) or None."""
+    """Detect an axis-aligned box on the vertices of a facet or of a polytope.
+
+    Returns (active coords, lows, highs) or None; a full-dimensional box has
+    every coordinate active.
+    """
     verts = facet.vertices
     n = len(verts[0])
     los = [min(v[i] for v in verts) for i in range(n)]
@@ -363,30 +362,27 @@ def _facet_as_aligned_box(facet):
 def _facet_as_dilated_simplex(facet):
     """Detect facet = m * (unimodular simplex); returns (m, vertices) or None."""
     verts = facet.vertices
-    n = len(verts[0])
-    d = n - 1
-    if len(verts) != d + 1:
+    if len(verts) != len(verts[0]):
         return None
-    coords, _, _ = facet_coordinates(facet, verts)
-    edges = [vec_sub(c, coords[0]) for c in coords[1:]]
-    det = abs(det_int(edges))
-    if det == 0:
+    return _as_dilated_unimodular_simplex(verts)
+
+
+def _as_dilated_unimodular_simplex(verts):
+    """(m, shrunk vertices) when the lattice simplex conv(verts) is m times a
+    unimodular simplex placed at verts[0], else None.
+
+    Its relative volume times d! must be m^d, and every edge must be m times
+    a lattice vector (the edges are then m times a lattice basis of the
+    affine hull); the shrunk simplex keeps verts[0] and each edge over m.
+    """
+    m = integer_root(simplex_relative_volume_times_factorial(verts), len(verts) - 1)
+    if not m:
         return None
-    m = integer_root(det, d)
-    if m is None:
-        return None
-    for e in edges:
-        if any(x % m for x in e):
-            return None
-    if m == 1:
-        return 1, verts
-    # vertices of the (1/m)-shrunk simplex, back in ambient coordinates
     base = verts[0]
-    amb_edges = [vec_sub(v, base) for v in verts[1:]]
-    small = [base]
-    for e in amb_edges:
-        small.append(tuple(b + x // m for b, x in zip(base, e)))
-    return m, tuple(small)
+    edges = [vec_sub(v, base) for v in verts[1:]]
+    if any(x % m for e in edges for x in e):
+        return None
+    return m, (base,) + tuple(tuple(b + x // m for b, x in zip(base, e)) for e in edges)
 
 
 def _polygon_facet_level1(P, facet):
@@ -397,12 +393,10 @@ def _polygon_facet_level1(P, facet):
     endpoints lying on few facets of P (this is what keeps the incidence at
     shared vertices under control, e.g. for rhombic facets).
     """
-    from .geometry import lattice_points as _lp
-
     coords, basis, anchor = facet_coordinates(facet, facet.vertices)
     sub = Polytope(coords)
     pts2 = sub.vertices
-    all2 = _points_in_polygon(sub)
+    all2 = lattice_points(sub, 1)
     interior = [p for p in all2 if sub.strictly_contains(p)]
 
     def back(p2):
@@ -451,12 +445,6 @@ def _polygon_facet_level1(P, facet):
     return cells
 
 
-def _points_in_polygon(sub):
-    from .geometry import lattice_points as _lp
-
-    return _lp(sub, 1)
-
-
 def _as_parallelogram(verts):
     """Detect a parallelogram whose primitive edges span the lattice.
 
@@ -464,8 +452,6 @@ def _as_parallelogram(verts):
     primitive directions p_i, or None.  The staircase triangulation in this
     basis keeps interior vertex valences at 6.
     """
-    from .linalg import primitive as _prim, vec_gcd
-
     if len(verts) != 4:
         return None
     vs = sorted(verts)
@@ -480,7 +466,7 @@ def _as_parallelogram(verts):
             rest = [others[m] for m in range(3) if m not in (i, j)][0]
             if vec_sub(rest, v0) != vec_add(a, b):
                 continue
-            p1, p2 = _prim(a), _prim(b)
+            p1, p2 = primitive(a), primitive(b)
             if abs(det_int([p1, p2])) != 1:
                 continue
             l1 = vec_gcd(a)
@@ -491,11 +477,8 @@ def _as_parallelogram(verts):
 
 def _boundary_cycle(sub, all_points):
     """Boundary lattice points of a polygon in cyclic order around the centroid."""
-    from functools import cmp_to_key
-    from .geometry import centroid as _centroid
-
     boundary = [p for p in all_points if not sub.strictly_contains(p)]
-    cx, cy = _centroid(sub)
+    cx, cy = centroid(sub)
 
     def half(p):
         dx, dy = Fraction(p[0]) - cx, Fraction(p[1]) - cy
@@ -526,8 +509,6 @@ def _best_cycle_triangulation(cycle, valence):
     m = len(cycle)
     if m < 3:
         return None
-
-    from functools import lru_cache
 
     def area2(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -670,27 +651,18 @@ def polygon_unimodular_triangulation(Q):
     (both keep interior vertex valences at 6); a single interior point is
     coned; empty polygons go through the cycle DP.
     """
-    from .geometry import lattice_points as _lp
-
     verts = Q.vertices
-    if len(verts) == 3:
-        edges = [vec_sub(v, verts[0]) for v in verts[1:]]
-        m = integer_root(abs(det_int(edges)), 2)
-        if m and all(x % m == 0 for e in edges for x in e):
-            small = [verts[0]] + [
-                tuple(b + x // m for b, x in zip(verts[0], e)) for e in edges
-            ]
-            if m == 1:
-                return [tuple(small)]
-            return [tuple(c) for c in refine_anchored(small, m)]
-    box = None
-    los = [min(v[i] for v in verts) for i in range(2)]
-    his = [max(v[i] for v in verts) for i in range(2)]
-    from itertools import product as iproduct
-
-    if set(iproduct(*zip(los, his))) == set(verts):
+    dilated = _as_dilated_unimodular_simplex(verts) if len(verts) == 3 else None
+    if dilated is not None:
+        m, small = dilated
+        if m == 1:
+            return [small]
+        return [tuple(c) for c in refine_anchored(small, m)]
+    box = _facet_as_aligned_box(Q)
+    if box is not None:
+        _, los, his = box
         return [tuple(c) for c in _freudenthal_box_cells(los, his)]
-    pts = _lp(Q, 1)
+    pts = lattice_points(Q, 1)
     interior = [p for p in pts if Q.strictly_contains(p)]
     if len(interior) == 1:
         center = interior[0]
@@ -720,15 +692,13 @@ def _bipyramid_exclusions(Q, tris):
     leaves no slack against the (n+1)! = 24 bound) and boundary midpoints
     may be excluded at most valence - 2 times.
     """
-    from .geometry import lattice_points as _lp
-
     valence = {}
     for t in tris:
         for v in t:
             valence[v] = valence.get(v, 0) + 1
     qverts = set(Q.vertices)
     boundary = {
-        p for p in _lp(Q, 1) if not Q.strictly_contains(p)
+        p for p in lattice_points(Q, 1) if not Q.strictly_contains(p)
     }
     caps = {}
     for v in valence:

@@ -137,11 +137,3 @@ def test_svg_render(tmp_path, capsys):
     assert svg.startswith("<svg")
     assert svg.count("<circle") == len(catalog.get("D_X4").polytope.vertices) + 1
 
-
-def test_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("CHOWTOOL_THREADS", "banana")
-    code, _, err = run(capsys, "ehrhart", "catalog:X3")
-    assert code == 1
-    monkeypatch.setenv("CHOWTOOL_THREADS", "2")
-    code, _, _ = run(capsys, "ehrhart", "catalog:X3")
-    assert code == 0

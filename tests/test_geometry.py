@@ -4,9 +4,11 @@ from itertools import product as iproduct
 import pytest
 
 from chowtool.errors import NotFullDimensional, NotReflexive, DimensionTooSmall
+from chowtool import catalog
 from chowtool.geometry import (
     Facet,
     Polytope,
+    adjacent_vertices,
     facets,
     lattice_points,
     interior_lattice_points,
@@ -258,3 +260,40 @@ def test_trusted_non_vertex_is_rejected():
     # (0, -1) lies in the middle of the bottom edge
     with pytest.raises(AssertionError, match="non-vertex"):
         _trusted_square(list(SQUARE.vertices) + [(0, -1)])
+
+
+@pytest.mark.parametrize(
+    "name, edges",
+    [
+        ("cube3", 12),
+        ("D3", 12),
+        ("X6", 6),
+        ("cuboctahedron", 24),
+        ("rhombic_dodecahedron", 24),
+        ("cube4", 32),
+    ],
+)
+def test_edge_counts(name, edges):
+    from chowtool.jsonio import _edges, render_svg
+    from chowtool.stability import _edges_at_vertex
+
+    P = catalog.get(name).polytope
+    degrees = [len(adjacent_vertices(P, v)) for v in P.vertices]
+    assert sum(degrees) == 2 * edges
+    assert min(degrees) >= P.dim
+    # adjacency is symmetric
+    assert all(v in adjacent_vertices(P, w) for v in P.vertices for w in adjacent_vertices(P, v))
+    assert [len(_edges_at_vertex(P, v)) for v in P.vertices] == degrees
+    assert len(_edges(P)) == edges
+    if P.dim <= 3:
+        assert render_svg(P).count("<line") == edges
+
+
+def test_segment_edges():
+    from chowtool.jsonio import _edges
+    from chowtool.stability import _edges_at_vertex
+
+    # the SVG draws the segment itself; the vertex-cap search finds no edge directions
+    assert _edges(SEG) == [((-1,), (1,))]
+    assert adjacent_vertices(SEG, (1,)) == []
+    assert _edges_at_vertex(SEG, (1,)) == []

@@ -9,6 +9,7 @@ from chowtool.linalg import (
     det_int,
     matmul,
     cross_normal,
+    independent_rows,
     integer_root,
     invert_rational,
     rank_rational,
@@ -204,6 +205,48 @@ def test_rank_skips_pivotless_columns():
     # column 0 is zero and column 2 repeats column 1 up to a rational factor
     rows = [[0, 2, 1, 5], [0, 4, 2, 1], [0, Fraction(1, 3), Fraction(1, 6), 7]]
     assert rank_rational(rows) == reference_rank(rows) == 2
+
+
+def reference_independent_rows(rows):
+    # the greedy loop independent_rows replaced: keep a row when it raises the rank
+    kept = []
+    for i, row in enumerate(rows):
+        cand = [rows[j] for j in kept] + [row]
+        if rank_rational(cand) == len(cand):
+            kept.append(i)
+    return kept
+
+
+@st.composite
+def _int_matrices(draw):
+    """Int matrices up to 8x8: fresh, zero and repeated rows, and combinations of earlier rows."""
+    ncols = draw(st.integers(0, 8))
+    entry = draw(st.sampled_from([_INT, st.integers(-2, 2)]))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrices())
+@example([])
+@example([[0, 0], [1, 2], [2, 4], [0, 3], [5, 5]])
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 0], [3, 4, 6], [0, 1, 0]])
+def test_independent_rows_matches_greedy_rank_loop(rows):
+    want = reference_independent_rows(rows)
+    assert independent_rows(rows) == want
+    # a lazy iterable gives the same choice
+    assert independent_rows(iter(rows)) == want
 
 
 def reference_solve(matrix, rhs):

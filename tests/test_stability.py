@@ -158,6 +158,34 @@ def test_vertex_cap_non_integral_cut():
         vertex_cap_instability(double_cone(C3), (1, 1, 1, 0))
 
 
+def test_vertex_cap_function_none_when_rest_is_lower_dimensional():
+    from chowtool.stability import _vertex_cap_function
+
+    # unimodular simplex at k = 1: cutting off the vertex 0 leaves only the
+    # facet opposite it, so the rest has no full-dimensional hull
+    T3 = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert _vertex_cap_function(T3, (0, 0, 0), (-1, -1, -1), 1) is None
+
+
+def test_vertex_cap_function_propagates_unexpected_errors(monkeypatch):
+    from chowtool import stability
+
+    real = stability.Polytope
+    calls = []
+
+    def flaky(points, *args, **kwargs):
+        # the cap pyramid is built first, then the rest of kP
+        calls.append(points)
+        if len(calls) == 2:
+            raise RuntimeError("bug while building the rest")
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "Polytope", flaky)
+    with pytest.raises(RuntimeError):
+        stability._vertex_cap_function(X8, (1, 1), (1, 1), 1)
+    assert len(calls) == 2
+
+
 def test_check_special_2d():
     for P in (X3, X4, X6, X8, X9):
         assert check_special(P).status == POLYSTABLE
