@@ -25,6 +25,7 @@ from .linalg import (
     independent_rows,
     integer_kernel_basis,
     solve_rational,
+    simplex_relative_volume_times_factorial,
 )
 
 
@@ -491,8 +492,6 @@ def facet_relative_volume(P, facet):
     if n == 1:
         return Fraction(1)
     if len(facet.vertices) == n:
-        from .linalg import simplex_relative_volume_times_factorial
-
         g = simplex_relative_volume_times_factorial(facet.vertices)
         return Fraction(g, _factorial(n - 1))
     coords, _, _ = facet_coordinates(facet, facet.vertices)

@@ -13,6 +13,7 @@ determinant.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import sub
 
 
 def dot(a, b):
@@ -376,19 +377,26 @@ def same_row_span(rows_a, rows_b):
     return hermite_normal_form(rows_a) == hermite_normal_form(rows_b)
 
 
-def simplex_relative_volume_times_factorial(vertices):
-    """d! times the relative volume of a lattice d-simplex.
+def simplex_edge_matrix(vertices):
+    """The edges of a simplex from its first vertex, as a tuple of int tuples.
+
+    For a sorted vertex tuple the first vertex is the least one, and
+    translation keeps lexicographic order, so translates share this matrix.
+    """
+    v0 = vertices[0]
+    return tuple([tuple(map(sub, v, v0)) for v in vertices[1:]])
+
+
+def edge_matrix_volume_times_factorial(edges):
+    """d! times the relative volume of the lattice simplex with these d edges.
 
     Equals the product of the invariant factors of the edge matrix, i.e. the
     gcd of its maximal minors; value 1 means unimodular.
     """
-    verts = list(vertices)
-    d = len(verts) - 1
+    d = len(edges)
     if d == 0:
         return 1
-    edges = [vec_sub(v, verts[0]) for v in verts[1:]]
-    n = len(verts[0])
-    if d == n:
+    if d == len(edges[0]):
         return abs(det_int(edges))
     g = 0
     # a minor's determinant is that of its transpose, d columns of the edges
@@ -397,3 +405,8 @@ def simplex_relative_volume_times_factorial(vertices):
         if g == 1:
             return 1
     return g
+
+
+def simplex_relative_volume_times_factorial(vertices):
+    """d! times the relative volume of a lattice d-simplex (a vertex sequence)."""
+    return edge_matrix_volume_times_factorial(simplex_edge_matrix(vertices))

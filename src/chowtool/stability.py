@@ -39,6 +39,7 @@ from .geometry import (
     lattice_points,
     double_cone,
     facet_relative_volume,
+    is_reflexive,
     _factorial,
     _fan_simplices,
 )
@@ -183,8 +184,7 @@ def _vertex_weights(carrier):
     sum over v of f(v) * weight[v] / (n + 1)!.
     """
     weight = {}
-    for s in carrier.simplices:
-        vol = s.volume_times_factorial
+    for s, vol in zip(carrier.simplices, carrier.volumes()):
         for v in s.vertices:
             weight[v] = weight.get(v, 0) + vol
     return weight
@@ -629,8 +629,6 @@ def check_special(P, k_max=None):
     incidence at a point depends only on its stratum and the finite check
     extends to every k (the per-k maxima are recorded to witness stability).
     """
-    from .geometry import is_reflexive
-
     n = P.dim
     if k_max is None:
         k_max = min(n + 1, 4)

@@ -14,14 +14,19 @@ triangulations, two-dimensional facets get a bespoke polygon triangulation,
 and anything else must be user-supplied.  Cell sets restricted to shared
 faces are lattice-intrinsic for the simplex/box strategies, which is what
 makes the per-facet assembly face-compatible.
+
+Refined and staircase cells come in few shapes up to translation and
+permutation of the coordinates, neither of which changes a cell's volume,
+so a triangulation computes its volumes once per distinct edge matrix up to
+column order (Triangulation.volumes); verification still checks every cell.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, reduce
-from itertools import permutations, product as iter_product
-from operator import and_
+from itertools import chain, combinations, permutations, product as iter_product
+from operator import and_, attrgetter
 
 from .errors import NoStrategy, NotReflexive
 from .geometry import (
@@ -46,8 +51,12 @@ from .linalg import (
     primitive,
     solve_rational,
     vec_gcd,
+    edge_matrix_volume_times_factorial,
+    simplex_edge_matrix,
     simplex_relative_volume_times_factorial,
 )
+
+_vertices_of = attrgetter("vertices")
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,7 @@ class LatticeSimplex:
 
 
 def make_simplex(points):
-    return LatticeSimplex(vertices=tuple(sorted(tuple(p) for p in points)))
+    return LatticeSimplex(vertices=tuple(sorted(map(tuple, points))))
 
 
 @dataclass
@@ -111,34 +120,54 @@ class Triangulation:
     simplices: tuple
     strategy: str = "explicit"
     _incidence: dict = field(default=None, repr=False, compare=False)
+    _volumes: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.simplices = tuple(
-            sorted(self.simplices, key=lambda s: s.vertices)
-        )
+        self.simplices = tuple(sorted(self.simplices, key=_vertices_of))
 
     def __len__(self):
         return len(self.simplices)
+
+    def volumes(self):
+        """d! times each cell's relative volume, aligned with simplices.
+
+        A cell's volume depends only on its edge matrix, and the kernel runs
+        once per distinct key of this triangulation; the memo lives for this
+        one pass.  The key is the edge matrix's columns in sorted order:
+        translates of a sorted cell share the edge matrix, and permuting the
+        coordinates permutes its columns, which permutes the maximal minors
+        up to sign and so keeps the volume.
+        """
+        if self._volumes is None:
+            memo = {}
+            out = []
+            for verts in map(_vertices_of, self.simplices):
+                edges = simplex_edge_matrix(verts)
+                key = tuple(sorted(zip(*edges)))
+                vol = memo.get(key)
+                if vol is None:
+                    vol = memo[key] = edge_matrix_volume_times_factorial(edges)
+                out.append(vol)
+            self._volumes = tuple(out)
+        return self._volumes
 
     def relative_volume(self):
         """Sum of the cells' relative volumes, added as ints over one d!."""
         if not self.simplices:
             return Fraction(0)
-        total = sum(s.volume_times_factorial for s in self.simplices)
-        return Fraction(total, _factorial(self.simplices[0].dim))
+        return Fraction(sum(self.volumes()), _factorial(self.simplices[0].dim))
 
     def all_unimodular(self):
-        return all(s.is_unimodular() for s in self.simplices)
+        return all(vol == 1 for vol in self.volumes())
 
     def incidence(self):
         if self._incidence is not None:
             return self._incidence
         self._incidence = dict(
             Counter(
-                p
-                for s in self.simplices
-                for p in (
-                    s.vertices if s.is_unimodular() else _lattice_points_of_simplex(s)
+                chain.from_iterable(
+                    s.vertices if vol == 1 else _lattice_points_of_simplex(s)
+                    for s, vol in zip(self.simplices, self.volumes())
                 )
             )
         )
@@ -148,9 +177,10 @@ class Triangulation:
         """Map from (d-1)-subface (sorted vertex tuple) to the number of incident cells."""
         return dict(
             Counter(
-                s.vertices[:i] + s.vertices[i + 1 :]
-                for s in self.simplices
-                for i in range(len(s.vertices))
+                chain.from_iterable(
+                    combinations(verts, len(verts) - 1)
+                    for verts in map(_vertices_of, self.simplices)
+                )
             )
         )
 
@@ -835,32 +865,29 @@ def verify_regular_boundary(P, T, k):
     Verifies coverage (relative volumes sum to Vol(boundary) * k^{n-1}),
     per-simplex unimodularity, the pseudo-manifold ridge condition (every
     interior ridge in exactly two cells), facet alignment, and the incidence
-    bound n! at every lattice point.
+    bound n! at every lattice point.  Every cell is checked; the volumes
+    come from T.volumes(), one kernel call per distinct edge matrix up to
+    column order.
     """
     n = P.dim
     expected = boundary_volume(P) * k ** (n - 1)
     total = T.relative_volume()
     coverage_ok = total == expected
 
-    nonuni = [s for s in T.simplices if not s.is_unimodular()]
+    nonuni_count = len(T) - T.volumes().count(1)
 
     # bit i of a point's mask: the point lies on facet i of kP, that is
-    # <normal, x> = -k offset; each distinct point is tested once, and a
+    # <normal, x> = -k offset; each distinct vertex is tested once, and a
     # cell lies on a facet iff the masks of its vertices share a bit
     planes = [(f.normal, -k * f.offset) for f in P.facets]
-    masks = {}
-
-    def facet_mask(p):
-        m = masks.get(p)
-        if m is None:
-            m = masks[p] = sum(
-                1 << i for i, (normal, level) in enumerate(planes)
-                if dot(normal, p) == level
-            )
-        return m
-
+    masks = {
+        p: sum(
+            1 << i for i, (normal, level) in enumerate(planes) if dot(normal, p) == level
+        )
+        for p in set(chain.from_iterable(map(_vertices_of, T.simplices)))
+    }
     facet_aligned = all(
-        reduce(and_, map(facet_mask, s.vertices)) for s in T.simplices
+        reduce(and_, map(masks.__getitem__, s.vertices)) for s in T.simplices
     )
 
     # the boundary of kP is a closed surface, so every ridge of a proper
@@ -880,7 +907,7 @@ def verify_regular_boundary(P, T, k):
 
     regular = (
         coverage_ok
-        and not nonuni
+        and not nonuni_count
         and face_compatible
         and facet_aligned
         and max_inc <= bound
@@ -891,8 +918,8 @@ def verify_regular_boundary(P, T, k):
         coverage_ok=coverage_ok,
         total_relative_volume=total,
         expected_relative_volume=expected,
-        all_unimodular=not nonuni,
-        nonunimodular_count=len(nonuni),
+        all_unimodular=not nonuni_count,
+        nonunimodular_count=nonuni_count,
         face_compatible=face_compatible,
         facet_aligned=facet_aligned,
         max_incidence=max_inc,

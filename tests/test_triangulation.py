@@ -1,9 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chowtool import catalog, triangulation
 from chowtool.errors import NotReflexive, NoStrategy
 from chowtool.geometry import Polytope, double_cone, product, volume, lattice_points
 from chowtool.triangulation import (
@@ -20,6 +23,7 @@ from chowtool.triangulation import (
     incidence,
     polygon_unimodular_triangulation,
 )
+from chowtool.linalg import simplex_edge_matrix, simplex_relative_volume_times_factorial
 
 X3 = Polytope([(-1, -1), (1, 0), (0, 1)], name="X3")
 X4 = Polytope([(1, 0), (-1, 0), (0, 1), (0, -1)], name="X4")
@@ -402,3 +406,142 @@ def test_verify_flags_cell_on_no_facet():
     report = verify_regular_boundary(octa, T, 1)
     assert not report.facet_aligned
     assert not report.regular
+
+
+def _translate(verts, t):
+    return [tuple(a + b for a, b in zip(v, t)) for v in verts]
+
+
+def _double_last_edge(verts):
+    """The sorted simplex with its lexicographically largest edge doubled:
+    the edge stays the largest, so only the last row of the edge matrix
+    changes."""
+    v = sorted(verts)
+    return v[:-1] + [tuple(2 * b - a for a, b in zip(v[0], v[-1]))]
+
+
+def _volumes_counting_kernel_calls(T):
+    calls = []
+    kernel = triangulation.edge_matrix_volume_times_factorial
+
+    def counted(edges):
+        calls.append(edges)
+        return kernel(edges)
+
+    triangulation.edge_matrix_volume_times_factorial = counted
+    try:
+        return T.volumes(), len(calls)
+    finally:
+        triangulation.edge_matrix_volume_times_factorial = kernel
+
+
+@st.composite
+def _translated_shapes(draw):
+    """A few d-simplex shapes in Z^n (1 <= d <= 4, d <= n <= 5), unimodular
+    and not, each with its last edge doubled too and each with its
+    coordinates permuted, every shape placed at many translations in
+    shuffled order."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d, 5))
+    rng = draw(st.randoms(use_true_random=False))
+    coord = st.integers(-2, 2)
+    shapes = [_random_unimodular_simplex(rng, d, n)]
+    for _ in range(draw(st.integers(1, 3))):
+        shapes.append(
+            draw(st.lists(st.tuples(*[coord] * n), min_size=d + 1, max_size=d + 1))
+        )
+    shapes += [_double_last_edge(v) for v in shapes]
+    perm = draw(st.permutations(range(n)))
+    shapes += [[tuple(x[i] for i in perm) for x in v] for v in shapes]
+    shifts = draw(
+        st.lists(st.tuples(*[st.integers(-6, 6)] * n), min_size=3, max_size=20, unique=True)
+    )
+    cells = [make_simplex(_translate(v, t)) for v in shapes for t in shifts]
+    rng.shuffle(cells)
+    return d, shapes, cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(_translated_shapes())
+def test_volumes_match_every_cell_with_one_kernel_call_per_shape(case):
+    d, shapes, cells = case
+    T = Triangulation(dim=d, simplices=tuple(cells))
+    vols, calls = _volumes_counting_kernel_calls(T)
+    expected = tuple(simplex_relative_volume_times_factorial(s.vertices) for s in T.simplices)
+    assert vols == expected
+    # at most one call per shape up to translation
+    assert calls <= len({simplex_edge_matrix(make_simplex(v).vertices) for v in shapes})
+    assert T.volumes() is vols
+    assert T.relative_volume() == Fraction(sum(expected), factorial(d))
+    assert T.all_unimodular() == all(g == 1 for g in expected)
+
+
+def test_volumes_tell_apart_shapes_sharing_all_but_one_edge():
+    # sorted edge matrices ((0, 1), (1, 0)), ((0, 2), (1, 0)), ((0, 1), (2, 0))
+    shapes = {
+        ((0, 0), (0, 1), (1, 0)): 1,
+        ((0, 0), (0, 2), (1, 0)): 2,
+        ((0, 0), (0, 1), (2, 0)): 2,
+    }
+    cells = [
+        make_simplex(_translate(v, (a, b))) for v in shapes for a in range(3) for b in range(3)
+    ]
+    T = Triangulation(dim=2, simplices=tuple(cells))
+    vols, calls = _volumes_counting_kernel_calls(T)
+    back = [tuple(_translate(s.vertices, [-x for x in s.vertices[0]])) for s in T.simplices]
+    assert vols == tuple(shapes[v] for v in back)
+    assert calls == 3
+
+
+def test_volumes_share_one_kernel_call_across_staircase_orders():
+    # the 4! staircase cells of a unit cube differ by a permutation of the
+    # coordinates, which keeps their vertex chains in lexicographic order
+    cells = [
+        make_simplex(c) for c in triangulation._freudenthal_box_cells([0] * 4, [2] * 4)
+    ]
+    T = Triangulation(dim=4, simplices=tuple(cells))
+    vols, calls = _volumes_counting_kernel_calls(T)
+    assert len(vols) == 16 * 24
+    assert set(vols) == {1}
+    assert calls == 1
+
+
+def test_verify_counts_a_dilated_cell_as_nonunimodular():
+    C = _cube4()
+    B = boundary_triangulation(C, 2)
+    assert verify_regular_boundary(C, B, 2).regular
+    # the 2-dilate of one cell about its least vertex: volume 2^3 / 3!
+    cell = B.simplices[len(B) // 2]
+    v0 = cell.vertices[0]
+    big = make_simplex([tuple(2 * b - a for a, b in zip(v0, v)) for v in cell.vertices])
+    T = Triangulation(
+        dim=3, simplices=tuple(big if s is cell else s for s in B.simplices)
+    )
+    assert len(T) == len(B)
+    report = verify_regular_boundary(C, T, 2)
+    assert report.nonunimodular_count == 1
+    assert not report.all_unimodular
+    assert not report.coverage_ok
+    assert report.total_relative_volume == B.relative_volume() + Fraction(7, 6)
+    assert not report.regular
+
+
+def _ridge_census_by_slicing(T):
+    # the per-vertex slicing ridge_census replaced, kept as its oracle
+    return dict(
+        Counter(
+            s.vertices[:i] + s.vertices[i + 1 :]
+            for s in T.simplices
+            for i in range(len(s.vertices))
+        )
+    )
+
+
+@pytest.mark.parametrize("name", ["cube4", "simplexPn3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ridge_census_matches_slicing(name, k):
+    P = _cube4() if name == "cube4" else catalog.get(name).polytope
+    T = boundary_triangulation(P, k)
+    census = T.ridge_census()
+    assert census == _ridge_census_by_slicing(T)
+    assert sum(census.values()) == len(T) * (T.dim + 1)
