@@ -7,7 +7,6 @@ analyze ends inconclusive (scripts can tell "proved nothing" from "error").
 """
 
 import argparse
-import json
 import os
 import sys
 

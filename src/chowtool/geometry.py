@@ -12,7 +12,6 @@ and scale facet offsets on the fly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .errors import NotFullDimensional, NotReflexive, DimensionTooSmall
 from .linalg import (
@@ -200,7 +199,11 @@ class Polytope:
     Instances are immutable; construct with a list of integer points (the
     convex hull is computed, non-vertices dropped) or through the
     constructors product / dual / double_cone which derive the facet system
-    without a hull run.
+    without a hull run.  Facts that depend on the polytope alone are
+    computed on first use and kept on it: the volume, the centroid, the
+    lattice points of each dilation, and, per facet keyed by (normal,
+    offset), the facet polytope of facet_polytope and the relative volumes
+    a constructor derives from its factors.
     """
 
     def __init__(self, points, name=None, _trusted=None):
@@ -226,6 +229,7 @@ class Polytope:
         self._volume = None
         self._centroid = None
         self._facet_relvols = None
+        self._facet_polytopes = {}  # (normal, offset) -> facet_polytope triple
         self._points_cache = {}
         self._level1 = None  # triangulation.level1_boundary, once built
         self._weak_symmetry = None  # stability._weak_symmetry_check, once run
@@ -477,12 +481,30 @@ def _solve_integer_least(cols, target):
     return sol
 
 
+def facet_polytope(P, facet):
+    """The facet as a full-dimensional polytope of its own lattice: (sub, basis, anchor).
+
+    sub is the hull of the facet's vertices in the coordinates of
+    facet_coordinates (the direction lattice's basis, anchored at the first
+    vertex).  The triple is built once per facet and kept on P, keyed by the
+    facet's (normal, offset).
+    """
+    key = (facet.normal, facet.offset)
+    got = P._facet_polytopes.get(key)
+    if got is None:
+        coords, basis, anchor = facet_coordinates(facet, facet.vertices)
+        got = P._facet_polytopes[key] = (Polytope(coords), basis, anchor)
+    return got
+
+
 def facet_relative_volume(P, facet):
     """Relative (lattice-normalized) volume of one facet.
 
     A unimodular (n-1)-simplex in the facet contributes 1/(n-1)!; this is
     the normalization that makes the Ehrhart k^{n-1} coefficient equal
-    Vol(boundary)/2.
+    Vol(boundary)/2.  A simplex facet reads its minor gcd; any other facet
+    is the volume of its facet_polytope, so its hull runs once per polytope
+    and the volume is cached on the facet polytope.
     """
     if P._facet_relvols is not None:
         got = P._facet_relvols.get((facet.normal, facet.offset))
@@ -494,9 +516,7 @@ def facet_relative_volume(P, facet):
     if len(facet.vertices) == n:
         g = simplex_relative_volume_times_factorial(facet.vertices)
         return Fraction(g, _factorial(n - 1))
-    coords, _, _ = facet_coordinates(facet, facet.vertices)
-    sub = Polytope(coords)
-    return volume(sub)
+    return volume(facet_polytope(P, facet)[0])
 
 
 def boundary_volume(P):

@@ -1,7 +1,8 @@
 """JSON schemas and SVG rendering for the command line.
 
 Polytope JSON:       {"name": optional str, "dim": n, "vertices": [[int, ...], ...]}
-Triangulation JSON:  {"dim": d, "simplices": [[[int, ...], ...], ...]}
+Triangulation JSON:  {"dim": d, "simplices": [[[int, ...], ...], ...]}, each
+                     simplex d+1 affinely independent vertices of one length
 
 Coordinates must be integers; anything else is a ParseError.  Fractions are
 serialized as strings "p/q" so that verdict output is exact and
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .geometry import Polytope, adjacent_vertices
+from .linalg import simplex_relative_volume_times_factorial
 from .triangulation import Triangulation, make_simplex
 
 
@@ -64,15 +66,26 @@ def load_polytope(path):
 def triangulation_from_json(data):
     if not isinstance(data, dict) or "simplices" not in data:
         raise ParseError("triangulation JSON needs a 'simplices' field")
-    cells = []
-    for cell in data["simplices"]:
-        pts = [tuple(_require_int(x, "simplex coordinate") for x in p) for p in cell]
-        cells.append(make_simplex(pts))
-    dims = {s.dim for s in cells}
-    if len(dims) != 1:
+    cells = data["simplices"]
+    if not isinstance(cells, list) or not cells:
+        raise ParseError("'simplices' must be a nonempty list")
+    simplices = []
+    for cell in cells:
+        if not isinstance(cell, list) or not cell or not all(isinstance(p, list) for p in cell):
+            raise ParseError("each simplex must be a nonempty list of integer vectors")
+        simplices.append([tuple(_require_int(x, "simplex coordinate") for x in p) for p in cell])
+    if len({len(p) for pts in simplices for p in pts}) != 1:
+        raise ParseError("simplex vertices of mixed length")
+    if len({len(pts) for pts in simplices}) != 1:
         raise ParseError("simplices of mixed dimension")
-    dim = data.get("dim", dims.pop() if dims else 0)
-    return Triangulation(dim=dim, simplices=tuple(cells), strategy="user")
+    if any(simplex_relative_volume_times_factorial(pts) == 0 for pts in simplices):
+        raise ParseError("simplex vertices must be affinely independent")
+    dim = len(simplices[0]) - 1
+    if "dim" in data and _require_int(data["dim"], "dim") != dim:
+        raise ParseError(f"dim = {data['dim']} does not match the simplex dimension {dim}")
+    return Triangulation(
+        dim=dim, simplices=tuple(map(make_simplex, simplices)), strategy="user"
+    )
 
 
 def load_triangulation(path):

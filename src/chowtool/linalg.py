@@ -1,7 +1,10 @@
 """Exact integer and rational linear algebra.
 
 Everything here works on plain Python ints and fractions.Fraction; sizes are
-desk scale (n <= 8), so clarity wins over asymptotics.  Determinant, rank,
+desk scale (n <= 8), so clarity wins over asymptotics.  The vector kernels
+dot, vec_add, vec_sub, matvec and matmul are map-based, sum(map(mul, a, b))
+and tuple(map(add, a, b)), so the per-entry loop runs at C level; they give
+the same values and types as the generator forms.  Determinant, rank,
 independent-row selection, solve and cross_normal are fraction-free
 (elimination on ints): rank, row selection and solve scale each rational
 row by the lcm of its denominators first, and solve builds one Fraction per
@@ -13,19 +16,19 @@ determinant.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import sub
+from operator import add, mul, sub
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def integer_root(x, d):
@@ -255,14 +258,12 @@ def solve_rational(matrix, rhs):
 
 
 def matmul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def matvec(a, v):
-    return tuple(dot(row, v) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def identity_matrix(n):

@@ -309,11 +309,17 @@ def double_cone_cap(Q, k):
     D = double_cone(Q)
     if k != 1:
         raise NoTriangulation("cap carrier implemented at k = 1 only")
-    carrier, _ = bipyramid_carrier(Q)
+    return D, _cap_function(D)
+
+
+def _cap_function(D):
+    """The cap |q| on the double cone D = D(Q) at k = 1, on the bipyramid
+    carrier over Q (read from D's provenance)."""
+    carrier, _ = bipyramid_carrier(D._provenance[1][0])
     values = {}
     for p in lattice_points(D, 1):
         values[p] = Fraction(abs(p[-1]))
-    return D, PLFunction(
+    return PLFunction(
         values=values,
         carrier=carrier,
         convex=True,
@@ -342,8 +348,15 @@ def double_cone_instability(Q, k_scan=16):
     (the boundary case Vol(Q) = (n+1)(n+2) still fails semistability because
     chi(kD) exceeds Vol(kD) strictly; flagged in the check trail).
     """
-    n = Q.dim
     D = double_cone(Q, name=f"D({Q.name})" if Q.name else None)
+    return _double_cone_verdict(D, k_scan)
+
+
+def _double_cone_verdict(D, k_scan=16):
+    """double_cone_instability on an already built double cone D = D(Q),
+    with Q read from D's provenance, so each fact of D is computed once."""
+    Q = D._provenance[1][0]
+    n = Q.dim
     vol_q = volume(Q)
     threshold = (n + 1) * (n + 2)
     checks = [
@@ -371,7 +384,7 @@ def double_cone_instability(Q, k_scan=16):
     assert found_k is not None, "cap gap must turn negative at small k here"
     cert_fn = None
     if found_k == 1:
-        _, cert_fn = double_cone_cap(Q, 1)
+        cert_fn = _cap_function(D)
         recomputed = chow_gap(D, 1, cert_fn)
         assert recomputed == gap, "cap certificate failed re-evaluation"
     checks.append(
@@ -1138,7 +1151,7 @@ def classify(P, k_max=None):
 
     prov = P._provenance
     if prov is not None and prov[0] == "double_cone":
-        dc = double_cone_instability(prov[1][0])
+        dc = _double_cone_verdict(P)
         checks.extend(dc.checks)
         if dc.status == NOT_SEMISTABLE:
             return StabilityVerdict(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OriginNotInterior
-from .geometry import centroid, lattice_points, volume
+from .geometry import centroid
 from .ehrhart import (
     count,
     moment_sum,

@@ -26,17 +26,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, reduce
 from itertools import chain, combinations, permutations, product as iter_product
-from operator import and_, attrgetter
+from operator import and_, attrgetter, sub
 
 from .errors import NoStrategy, NotReflexive
 from .geometry import (
-    Polytope,
     centroid,
-    facet_coordinates,
-    facet_relative_volume,
+    facet_polytope,
     boundary_volume,
     lattice_points,
-    volume,
     convex_hull,
     _factorial,
 )
@@ -52,7 +49,6 @@ from .linalg import (
     solve_rational,
     vec_gcd,
     edge_matrix_volume_times_factorial,
-    simplex_edge_matrix,
     simplex_relative_volume_times_factorial,
 )
 
@@ -131,22 +127,34 @@ class Triangulation:
     def volumes(self):
         """d! times each cell's relative volume, aligned with simplices.
 
-        A cell's volume depends only on its edge matrix, and the kernel runs
-        once per distinct key of this triangulation; the memo lives for this
-        one pass.  The key is the edge matrix's columns in sorted order:
-        translates of a sorted cell share the edge matrix, and permuting the
-        coordinates permutes its columns, which permutes the maximal minors
-        up to sign and so keeps the volume.
+        A cell's volume depends only on its edge matrix, and two memos, both
+        local to this one pass, share it between cells (whose vertices lie
+        in one ambient space).  The first key is the flat edge matrix, the
+        edges from the first vertex as one tuple of coordinates: translates
+        of a sorted cell share it, and it is built without a tuple per edge.
+        Only on a miss is the second key built, the edge matrix's columns
+        (strided slices of the flat key) in sorted order: permuting the
+        coordinates permutes the columns, which permutes the maximal minors
+        up to sign and so keeps the volume.  The kernel runs once per
+        distinct second key, on the edge matrix with its columns sorted.
         """
         if self._volumes is None:
+            flat_memo = {}
             memo = {}
             out = []
             for verts in map(_vertices_of, self.simplices):
-                edges = simplex_edge_matrix(verts)
-                key = tuple(sorted(zip(*edges)))
-                vol = memo.get(key)
+                # every later vertex minus the first, coordinate by coordinate
+                flat = tuple(
+                    map(sub, chain.from_iterable(verts[1:]), verts[0] * (len(verts) - 1))
+                )
+                vol = flat_memo.get(flat)
                 if vol is None:
-                    vol = memo[key] = edge_matrix_volume_times_factorial(edges)
+                    n = len(verts[0])
+                    key = tuple(sorted([flat[j::n] for j in range(n)]))
+                    vol = memo.get(key)
+                    if vol is None:
+                        vol = memo[key] = edge_matrix_volume_times_factorial(tuple(zip(*key)))
+                    flat_memo[flat] = vol
                 out.append(vol)
             self._volumes = tuple(out)
         return self._volumes
@@ -423,11 +431,10 @@ def _polygon_facet_level1(P, facet):
     endpoints lying on few facets of P (this is what keeps the incidence at
     shared vertices under control, e.g. for rhombic facets).
     """
-    coords, basis, anchor = facet_coordinates(facet, facet.vertices)
-    sub = Polytope(coords)
-    pts2 = sub.vertices
-    all2 = lattice_points(sub, 1)
-    interior = [p for p in all2 if sub.strictly_contains(p)]
+    poly, basis, anchor = facet_polytope(P, facet)
+    pts2 = poly.vertices
+    all2 = lattice_points(poly, 1)
+    interior = [p for p in all2 if poly.strictly_contains(p)]
 
     def back(p2):
         return tuple(
@@ -450,12 +457,12 @@ def _polygon_facet_level1(P, facet):
 
     if len(interior) == 1:
         center = interior[0]
-        cycle = _boundary_cycle(sub, all2)
+        cycle = _boundary_cycle(poly, all2)
         tris = []
         for i in range(len(cycle)):
             tris.append((center, cycle[i], cycle[(i + 1) % len(cycle)]))
     elif len(interior) == 0:
-        cycle = _boundary_cycle(sub, all2)
+        cycle = _boundary_cycle(poly, all2)
         valence = {}
         for p2 in cycle:
             amb = back(p2)
@@ -505,10 +512,10 @@ def _as_parallelogram(verts):
     return None
 
 
-def _boundary_cycle(sub, all_points):
+def _boundary_cycle(Q, all_points):
     """Boundary lattice points of a polygon in cyclic order around the centroid."""
-    boundary = [p for p in all_points if not sub.strictly_contains(p)]
-    cx, cy = centroid(sub)
+    boundary = [p for p in all_points if not Q.strictly_contains(p)]
+    cx, cy = centroid(Q)
 
     def half(p):
         dx, dy = Fraction(p[0]) - cx, Fraction(p[1]) - cy

@@ -120,6 +120,39 @@ def test_triangulation_json():
     assert len(T) == 2
 
 
+_BAD_TRIANGULATIONS = [
+    {"dim": "x", "simplices": [[[1, 0], [0, 1]]]},
+    {"dim": 1.0, "simplices": [[[1, 0], [0, 1]]]},
+    {"dim": True, "simplices": [[[1, 0], [0, 1]]]},
+    {"dim": 2, "simplices": [[[1, 0], [0, 1]]]},
+    {"dim": 1, "simplices": "cells"},
+    {"dim": 1, "simplices": {"a": [[1, 0], [0, 1]]}},
+    {"dim": 1, "simplices": []},
+    {"dim": 1, "simplices": [[1, 0], [0, 1]]},
+    {"dim": 1, "simplices": [[[1, 0], 7]]},
+    {"dim": 1, "simplices": [[]]},
+    {"dim": 1, "simplices": [[[1, 0], [0, 1, 0]]]},
+    {"dim": 1, "simplices": [[[1, 0], [0, 1]], [[0, 0, 1], [1, 1, 0]]]},
+    {"dim": 1, "simplices": [[[1, 0], [0, 1]], [[0, 0], [1, 0], [1, 1]]]},
+    {"dim": 1, "simplices": [[[1, 0], [0, "1"]]]},
+    {"dim": 1, "simplices": [[[1, 0], [1, 0]]]},
+    {"dim": 2, "simplices": [[[0, 0], [1, 0], [2, 0]]]},
+    {"dim": 3, "simplices": [[[0, 0], [1, 0], [0, 1], [1, 1]]]},
+]
+
+
+@pytest.mark.parametrize("data", _BAD_TRIANGULATIONS)
+def test_malformed_triangulation_json_is_a_parse_error(data, capsys, tmp_path):
+    with pytest.raises(ParseError):
+        triangulation_from_json(data)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "triangulate", "catalog:X3", "--triangulation", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
 def test_deterministic_outputs(capsys):
     outs = []
     for _ in range(2):

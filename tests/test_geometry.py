@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -19,6 +20,8 @@ from chowtool.geometry import (
     product,
     dual,
     double_cone,
+    facet_coordinates,
+    facet_relative_volume,
     lattice_shells,
 )
 
@@ -297,3 +300,34 @@ def test_segment_edges():
     assert _edges(SEG) == [((-1,), (1,))]
     assert adjacent_vertices(SEG, (1,)) == []
     assert _edges_at_vertex(SEG, (1,)) == []
+
+
+def _facet_volume_per_call(facet):
+    # the per-call computation facet_relative_volume replaced, kept as its oracle
+    coords, _, _ = facet_coordinates(facet, facet.vertices)
+    return volume(Polytope(coords))
+
+
+# cube6_doublecone, cube7 and cube7_doublecone are left out only for time:
+# the oracle's hulls of their 6- and 7-dimensional facets take 15 s
+@pytest.mark.parametrize(
+    "name",
+    [
+        e.name
+        for e in catalog.entries()
+        if 3 <= e.polytope.dim <= 6
+        and any(len(f.vertices) > e.polytope.dim for f in e.polytope.facets)
+    ],
+)
+def test_facet_relative_volume_matches_per_call_facet_hull(name):
+    P = catalog.get(name).polytope
+    # a copy without the volumes a product or double-cone constructor
+    # derives, so every non-simplex facet goes through its facet polytope
+    bare = copy.copy(P)
+    bare._facet_relvols = None
+    bare._facet_polytopes = {}
+    for f in P.facets:
+        if len(f.vertices) > P.dim:
+            want = _facet_volume_per_call(f)
+            assert facet_relative_volume(P, f) == want, f
+            assert facet_relative_volume(bare, f) == want, f

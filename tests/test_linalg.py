@@ -7,7 +7,11 @@ from chowtool.geometry import Facet
 from chowtool.linalg import (
     adjugate,
     det_int,
+    dot,
     matmul,
+    matvec,
+    vec_add,
+    vec_sub,
     cross_normal,
     independent_rows,
     integer_root,
@@ -322,3 +326,51 @@ def test_dilated_simplex_facet_beyond_float_range():
     # m**2 + 1 lattice volume: not a dilated unimodular simplex
     facet = Facet(normal=(-1, -1, -1), offset=m, vertices=((0, 0, m), (0, m, 0), (m + 1, 0, -1)))
     assert _facet_as_dilated_simplex(facet) is None
+
+
+# the generator forms the map-based vector kernels replaced, kept as their oracle
+def reference_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def reference_matmul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _same(got, want):
+    # equal values of equal types, entry by entry
+    return got == want and [type(x) for x in got] == [type(x) for x in want]
+
+
+@st.composite
+def _kernel_operands(draw):
+    """Two vectors of one length 0..8, an m x l and an l x p matrix (m, p in
+    0..8, l in 1..8) and a vector of length l, all int or all mixing ints
+    and Fractions."""
+    entry = draw(st.sampled_from([_INT, st.one_of(_INT, _NON_INTEGRAL)]))
+
+    def vector(n):
+        return tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+
+    n = draw(st.integers(0, 8))
+    m, l, p = draw(st.integers(0, 8)), draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    left = tuple(vector(l) for _ in range(m))
+    right = tuple(vector(p) for _ in range(l))
+    return vector(n), vector(n), left, right, vector(l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_operands())
+@example(((), (), (), ((),), (0,)))
+@example(((1, 2), (3, 4), ((1, 2, 3),), ((1,), (2,), (3,)), (1, 0, Fraction(1, 2))))
+def test_vector_kernels_match_generator_forms(operands):
+    a, b, left, right, v = operands
+    assert _same((dot(a, b),), (reference_dot(a, b),))
+    assert _same(vec_add(a, b), tuple(x + y for x, y in zip(a, b)))
+    assert _same(vec_sub(a, b), tuple(x - y for x, y in zip(a, b)))
+    assert _same(matvec(left, v), tuple(reference_dot(row, v) for row in left))
+    got, want = matmul(left, right), reference_matmul(left, right)
+    assert len(got) == len(want) and all(map(_same, got, want))

@@ -365,3 +365,44 @@ def test_weak_symmetry_check_runs_once_per_polytope(monkeypatch):
     verdict = classify(P)
     assert verdict.status == NOT_SEMISTABLE
     assert len(calls) == 1
+
+
+def test_classify_reuses_the_double_cone_it_is_given(monkeypatch):
+    import chowtool.stability as stability
+    from chowtool import catalog
+
+    D = catalog.get("cube7_doublecone").polytope
+    want = double_cone_instability(cube(7)).certificate
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("classify built the double cone again")
+
+    monkeypatch.setattr(stability, "double_cone", rebuilt)
+    verdict = classify(D)
+    assert verdict.status == NOT_SEMISTABLE
+    got = verdict.certificate
+    assert (got.kind, got.k, got.gap) == (want.kind, want.k, want.gap)
+    assert got.function.values == want.function.values
+
+
+def test_check_special_runs_each_facet_hull_once(monkeypatch):
+    import chowtool.geometry as geometry
+    from chowtool import catalog
+
+    P = Polytope(catalog.get("cuboctahedron").polytope.vertices)
+    faces = [f for f in P.facets if len(f.vertices) > P.dim]
+    hulled = []
+    real = geometry.convex_hull
+
+    def counted(points):
+        hulled.append(tuple(sorted(points)))
+        return real(points)
+
+    monkeypatch.setattr(geometry, "convex_hull", counted)
+    assert check_special(P).status == POLYSTABLE
+    # one hull per square facet, in the facet's own lattice coordinates,
+    # kept on P under the facet's (normal, offset)
+    assert len(faces) == 6
+    want = [tuple(sorted(geometry.facet_coordinates(f, f.vertices)[0])) for f in faces]
+    assert sorted(hulled) == sorted(want)
+    assert sorted(P._facet_polytopes) == sorted((f.normal, f.offset) for f in faces)
