@@ -276,7 +276,16 @@ def main(argv=None):
     try:
         if hasattr(args, "kmax") and args.kmax is not None and args.kmax < 1:
             raise ParseError("--kmax must be >= 1")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (`catalog list | head -1`); as the Python
+        # docs advise, send the unwritten rest to devnull so that the flush at
+        # exit raises nothing, and report failure
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ParseError, UnknownName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

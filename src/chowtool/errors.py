@@ -48,6 +48,10 @@ class OriginMissing(ChowToolError):
     """The polytope must contain the origin as a lattice point."""
 
 
+class DegenerateSimplex(ChowToolError):
+    """A simplex's vertices are affinely dependent, so it has no barycentric coordinates."""
+
+
 class NoTriangulation(ChowToolError):
     """A carrier triangulation is required but unavailable."""
 

@@ -13,7 +13,7 @@ and scale facet offsets on the fly.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotFullDimensional, NotReflexive, DimensionTooSmall
+from .errors import NotFullDimensional, NotReflexive, DimensionTooSmall, OriginNotInterior
 from .linalg import (
     dot,
     vec_sub,
@@ -196,14 +196,25 @@ def convex_hull(points):
 class Polytope:
     """Full-dimensional integral polytope with exact derived facet data.
 
-    Instances are immutable; construct with a list of integer points (the
-    convex hull is computed, non-vertices dropped) or through the
-    constructors product / dual / double_cone which derive the facet system
-    without a hull run.  Facts that depend on the polytope alone are
-    computed on first use and kept on it: the volume, the centroid, the
-    lattice points of each dilation, and, per facet keyed by (normal,
-    offset), the facet polytope of facet_polytope and the relative volumes
-    a constructor derives from its factors.
+    Instances are immutable.  Each way of building one decides which checks
+    it runs:
+
+    * ``Polytope(points)`` runs the convex hull, which drops non-vertices and
+      finds the facets; its output is taken as it is.
+    * ``Polytope(vertices, _trusted=(facets, raw))`` takes a facet system on
+      trust and runs all of ``_validate_trusted``: the slack matrix is
+      nonnegative, each facet's tight vertices have affine rank n - 1 and
+      each vertex's active normals have rank n.
+    * the constructors product / dual / double_cone derive the facet system
+      from factors that are already polytopes, and their docstrings derive
+      both rank facts from the factors'.  They check only the integer slack
+      matrix (``_check_slack``), which needs no elimination.
+
+    Facts that depend on the polytope alone are computed on first use and
+    kept on it: the volume, the centroid, the lattice points of each
+    dilation, and, per facet keyed by (normal, offset), the facet polytope
+    of facet_polytope and the relative volumes a constructor derives from
+    its factors.
     """
 
     def __init__(self, points, name=None, _trusted=None):
@@ -213,19 +224,28 @@ class Polytope:
         dims = {len(p) for p in pts}
         if len(dims) != 1:
             raise ValueError("points of mixed dimension")
-        self.dim = dims.pop()
-        self.name = name
         if _trusted is not None:
             facets, raw = _trusted
-            self.vertices = tuple(sorted(set(pts)))
-            self.facets = tuple(sorted(facets, key=lambda f: (f.normal, f.offset)))
-            self._raw_boundary = raw
+            self._set(name, sorted(set(pts)), facets, raw)
             self._validate_trusted()
         else:
-            verts, facets, raw = convex_hull(pts)
-            self.vertices = tuple(verts)
-            self.facets = tuple(facets)
-            self._raw_boundary = raw
+            self._set(name, *convex_hull(pts))
+
+    @classmethod
+    def _derived(cls, vertices, facets, name, provenance):
+        """A constructor's polytope over validated factors; checks only the slack."""
+        R = cls.__new__(cls)
+        R._set(name, sorted(vertices), facets, None)
+        R._provenance = provenance
+        R._check_slack()
+        return R
+
+    def _set(self, name, vertices, facets, raw):
+        self.dim = len(vertices[0])
+        self.name = name
+        self.vertices = tuple(vertices)
+        self.facets = tuple(sorted(facets, key=lambda f: (f.normal, f.offset)))
+        self._raw_boundary = raw
         self._volume = None
         self._centroid = None
         self._facet_relvols = None
@@ -235,15 +255,27 @@ class Polytope:
         self._weak_symmetry = None  # stability._weak_symmetry_check, once run
         self._provenance = None  # ("product", (P, Q)) etc., set by constructors
 
-    # -- construction helpers ------------------------------------------------
+    # -- construction checks ---------------------------------------------------
+
+    def _slack(self):
+        """slack[i][j] = value of facet i at vertex j; no entry may be negative."""
+        verts = self.vertices
+        slack = [[dot(f.normal, v) + f.offset for v in verts] for f in self.facets]
+        if any(s < 0 for row in slack for s in row):
+            raise AssertionError("facet system violated by a vertex")
+        return slack
+
+    def _check_slack(self):
+        """Every vertex satisfies every facet, whose zero set is its recorded vertices."""
+        verts = self.vertices
+        for f, row in zip(self.facets, self._slack()):
+            if tuple(v for v, s in zip(verts, row) if s == 0) != f.vertices:
+                raise AssertionError("derived facet's tight vertices are not its zero set")
 
     def _validate_trusted(self):
         n = self.dim
         verts = self.vertices
-        # slack[i][j] = value of facet i at vertex j, computed once for all checks
-        slack = [[dot(f.normal, v) + f.offset for v in verts] for f in self.facets]
-        if any(s < 0 for row in slack for s in row):
-            raise AssertionError("trusted facet system violated by a vertex")
+        slack = self._slack()
         for row in slack:
             tight = [v for v, s in zip(verts, row) if s == 0]
             if len(tight) < n:
@@ -308,22 +340,40 @@ def facets(P):
 
 
 def lattice_points(P, k):
-    """All integer points of kP, by pruned bounding-box scan.
+    """All integer points of kP, sorted.
 
-    The scan fixes coordinates one at a time; every facet inequality is
-    propagated through interval arithmetic on the remaining coordinates, so
-    the enumeration visits little more than the answer.
+    A product's points are the products of its factors' points, and the
+    slice of kD(B) at height q is (k-|q|)B, with 0B = {0}; both read the
+    factors' cached dilations.  Any other polytope is scanned: the pruned
+    bounding-box scan fixes coordinates one at a time and propagates every
+    facet inequality through interval arithmetic on the remaining
+    coordinates, so it visits little more than the answer.
     """
     if k < 1:
         raise ValueError("dilation k must be >= 1")
     cached = P._points_cache.get(k)
     if cached is not None:
         return cached
-    if P._provenance and P._provenance[0] == "product":
-        A, B = P._provenance[1]
-        pts = sorted(a + b for a in lattice_points(A, k) for b in lattice_points(B, k))
-        P._points_cache[k] = pts
-        return pts
+    kind, factors = P._provenance or (None, ())
+    if kind == "product":
+        A, B = factors
+        tails = lattice_points(B, k)
+        pts = sorted(a + b for a in lattice_points(A, k) for b in tails)
+    elif kind == "double_cone":
+        (B,) = factors
+        apex_slice = [(0,) * B.dim]
+        pts = sorted(
+            p + (q,)
+            for q in range(-k, k + 1)
+            for p in (lattice_points(B, k - abs(q)) if abs(q) < k else apex_slice)
+        )
+    else:
+        pts = _box_scan(P, k)
+    P._points_cache[k] = pts
+    return pts
+
+
+def _box_scan(P, k):
     n = P.dim
     los, his = P.bounding_box(k)
     norms = [f.normal for f in P.facets]
@@ -366,7 +416,6 @@ def lattice_points(P, k):
 
     rec(0, [0] * len(norms))
     out.sort()
-    P._points_cache[k] = out
     return out
 
 
@@ -536,7 +585,14 @@ def is_reflexive(P):
 
 
 def product(P, Q, name=None):
-    """Cartesian product, with facet system and caches derived from the factors."""
+    """Cartesian product, with facet system and caches derived from the factors.
+
+    The facets of P x Q are F x Q and P x G for the facets F of P and G of
+    Q.  F x Q is tight at tight_P(F) x V(Q), of affine rank (n-1) + m, and
+    likewise P x G; the normals active at a vertex (a, b) are
+    active_P(a) (+) 0 and 0 (+) active_Q(b), of rank n + m.  Ranks add, so
+    both rank checks hold because they hold for P and Q.
+    """
     n, m = P.dim, Q.dim
     verts = [a + b for a in P.vertices for b in Q.vertices]
     zero_m = (0,) * m
@@ -548,8 +604,7 @@ def product(P, Q, name=None):
     for f in Q.facets:
         tight = tuple(sorted(a + b for a in P.vertices for b in f.vertices))
         new_facets.append(Facet(normal=zero_n + f.normal, offset=f.offset, vertices=tight))
-    R = Polytope(verts, name=name, _trusted=(new_facets, None))
-    R._provenance = ("product", (P, Q))
+    R = Polytope._derived(verts, new_facets, name, ("product", (P, Q)))
     R._volume = volume(P) * volume(Q)
     cp = centroid(P)
     cq = centroid(Q)
@@ -564,25 +619,45 @@ def product(P, Q, name=None):
 
 
 def dual(P, name=None):
-    """Polar dual of a reflexive polytope (vertices = facet normals)."""
+    """Polar dual of a reflexive polytope (vertices = facet normals).
+
+    P* = {y : <v, y> >= -1 for v in V(P)} has one facet per vertex v of P,
+    tight at the normals of the facets through v, and one vertex n_F per
+    facet F: the incidence is P's transposed.  The tight points of a facet
+    of either polytope lie on a hyperplane at height -1, which misses the
+    origin, so there linear rank n is affine rank n - 1: P*'s facet check
+    is P's vertex check, and P*'s vertex check is P's facet check.
+    """
     if not all(f.offset == 1 for f in P.facets):
         raise NotReflexive("dual requires all facet offsets equal to 1")
+    through = {v: [] for v in P.vertices}
+    for f in P.facets:
+        for v in f.vertices:
+            through[v].append(f.normal)
+    new_facets = [
+        Facet(normal=v, offset=1, vertices=tuple(sorted(normals)))
+        for v, normals in through.items()
+    ]
     verts = [f.normal for f in P.facets]
-    new_facets = []
-    for v in P.vertices:
-        tight = tuple(sorted(f.normal for f in P.facets if v in f.vertices))
-        new_facets.append(Facet(normal=v, offset=1, vertices=tight))
-    R = Polytope(verts, name=name, _trusted=(new_facets, None))
-    R._provenance = ("dual", (P,))
-    return R
+    return Polytope._derived(verts, new_facets, name, ("dual", (P,)))
 
 
 def double_cone(P, name=None):
     """Bipyramid over P x {0} with apexes (0,...,0,+-1).
 
-    Lattice points of k.D(P) at height q form (k-|q|)P; facets are pyramids
-    over the facets of P.
+    Every facet offset o_F of P must be positive (the origin interior to
+    P), else OriginNotInterior is raised.  Lattice points of k.D(P) at
+    height q form (k-|q|)P.  Each facet F of P gives the two facets
+    <n_F, x> -+ o_F t >= -o_F, pyramids over F x {0} with apex (0, +-1):
+    the apex lies off t = 0, so their tight vertices have affine rank
+    (n-1) + 1.  The normals active at (v, 0) are (n_F, +-o_F) for the
+    facets F through v; their span holds (0, o_F) and every (n_F, 0), so
+    has rank n + 1.  At an apex every (n_F, -+o_F) is active; a vector
+    (x, s) orthogonal to them all has s = 0 and then x = 0, since s != 0
+    would put -x/s on every facet of P.
     """
+    if not all(f.offset > 0 for f in P.facets):
+        raise OriginNotInterior("double cone requires the origin interior to its base")
     n = P.dim
     verts = [v + (0,) for v in P.vertices]
     apex_up = (0,) * n + (1,)
@@ -595,8 +670,7 @@ def double_cone(P, name=None):
             normal = f.normal + (sgn,)
             tight = tuple(sorted(base + [apex]))
             new_facets.append(Facet(normal=normal, offset=f.offset, vertices=tight))
-    R = Polytope(verts, name=name, _trusted=(new_facets, None))
-    R._provenance = ("double_cone", (P,))
+    R = Polytope._derived(verts, new_facets, name, ("double_cone", (P,)))
     R._volume = 2 * volume(P) / (n + 1)
     cp = centroid(P)
     R._centroid = tuple(Fraction(n + 1, n + 2) * c for c in cp) + (Fraction(0),)

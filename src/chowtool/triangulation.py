@@ -28,7 +28,7 @@ from functools import cached_property, cmp_to_key, lru_cache, reduce
 from itertools import chain, combinations, permutations, product as iter_product
 from operator import and_, attrgetter, sub
 
-from .errors import NoStrategy, NotReflexive
+from .errors import DegenerateSimplex, NoStrategy, NotReflexive
 from .geometry import (
     centroid,
     facet_polytope,
@@ -78,7 +78,11 @@ class LatticeSimplex:
         return self.volume_times_factorial == 1
 
     def barycentric(self, point):
-        """Exact barycentric coordinates of a point, or None if outside."""
+        """Exact barycentric coordinates of a point, or None if outside.
+
+        Raises DegenerateSimplex, naming the cell, when its vertices are
+        affinely dependent.
+        """
         verts = self.vertices
         d = self.dim
         n = len(verts[0])
@@ -86,6 +90,11 @@ class LatticeSimplex:
         rows.append([1] * (d + 1))
         rhs = list(point) + [1]
         kept = independent_rows(rows)
+        if len(kept) <= d:
+            raise DegenerateSimplex(
+                f"cell {[list(v) for v in verts]} is affinely dependent: its "
+                f"{d + 1} vertices span dimension {len(kept) - 1}"
+            )
         sol = solve_rational([rows[i] for i in kept], [rhs[i] for i in kept])
         if sol is None:
             return None

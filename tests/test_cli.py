@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chowtool
 from chowtool.cli import main
 from chowtool.jsonio import (
     polytope_from_json,
@@ -170,3 +174,32 @@ def test_svg_render(tmp_path, capsys):
     assert svg.startswith("<svg")
     assert svg.count("<circle") == len(catalog.get("D_X4").polytope.vertices) + 1
 
+
+def test_closed_stdout_exits_without_traceback(capsys):
+    # `chowtool catalog list | head -1`.  The pipe holds one page, less than
+    # the listing, so the child is still writing when the reader closes it.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe size cannot be set on this platform")
+    _, listing, _ = run(capsys, "catalog", "list")
+    read_fd, write_fd = os.pipe()
+    if fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096) >= len(listing):
+        pytest.skip("the pipe holds the whole listing")
+    src = os.path.dirname(os.path.dirname(chowtool.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chowtool.cli", "catalog", "list"],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    os.close(write_fd)
+    first = b""
+    while not first.endswith(b"\n"):
+        byte = os.read(read_fd, 1)
+        assert byte, "no complete first line"
+        first += byte
+    os.close(read_fd)
+    _, err = proc.communicate(timeout=60)
+    assert first.decode() == listing.splitlines(keepends=True)[0]
+    assert proc.returncode == 1
+    assert err == b""

@@ -3,13 +3,20 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from chowtool.errors import NotFullDimensional, NotReflexive, DimensionTooSmall
-from chowtool import catalog
+from chowtool.errors import (
+    NotFullDimensional,
+    NotReflexive,
+    DimensionTooSmall,
+    OriginNotInterior,
+)
+from chowtool import catalog, geometry, linalg
 from chowtool.geometry import (
     Facet,
     Polytope,
     adjacent_vertices,
+    convex_hull,
     facets,
     lattice_points,
     interior_lattice_points,
@@ -94,15 +101,37 @@ def test_lattice_points_examples():
     assert len(lattice_points(X9, 1)) == 10
 
 
+def plain_box_scan(P, k):
+    """Oracle: the points of kP's bounding box that satisfy every facet inequality."""
+    los, his = P.bounding_box(k)
+    return sorted(
+        p
+        for p in iproduct(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+        if P.contains(p, k)
+    )
+
+
 def test_lattice_points_against_plain_box_scan():
     for P, k in [(X3, 3), (X4, 2), (X9, 2)]:
-        los, his = P.bounding_box(k)
-        brute = [
-            p
-            for p in iproduct(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
-            if P.contains(p, k)
-        ]
-        assert lattice_points(P, k) == sorted(brute)
+        assert lattice_points(P, k) == plain_box_scan(P, k)
+
+
+@pytest.mark.parametrize(
+    "base, ks",
+    [
+        (SEG, (1, 2, 3)),
+        (X3, (1, 2, 3)),
+        (X9, (1, 2)),
+        (SQUARE, (1, 2, 3)),
+        (product(product(SEG, SEG), SEG), (1, 2)),
+        (catalog.get("cube5").polytope, (1,)),
+    ],
+)
+def test_double_cone_lattice_points_against_plain_box_scan(base, ks):
+    # a fresh copy, so the double-cone branch reads a base with no cached dilations
+    D = double_cone(copy.deepcopy(base))
+    for k in ks:
+        assert lattice_points(D, k) == plain_box_scan(D, k)
 
 
 def test_volume():
@@ -167,6 +196,13 @@ def test_dual():
     assert set(dual(A3).vertices) == P3O4
     with pytest.raises(NotReflexive):
         dual(Polytope([(0, 0), (2, 0), (0, 1)]))
+
+
+def test_double_cone_needs_origin_interior():
+    with pytest.raises(OriginNotInterior):
+        double_cone(Polytope([(0, 0), (1, 0), (0, 1)]))  # 0 is a vertex
+    with pytest.raises(OriginNotInterior):
+        double_cone(Polytope([(1, 1), (2, 1), (1, 2)]))  # 0 lies outside
 
 
 def test_dual_is_involution():
@@ -331,3 +367,87 @@ def test_facet_relative_volume_matches_per_call_facet_hull(name):
             want = _facet_volume_per_call(f)
             assert facet_relative_volume(P, f) == want, f
             assert facet_relative_volume(bare, f) == want, f
+
+
+# -- constructors: facet systems derived from the factors ---------------------
+
+
+def facet_system(facets):
+    return [(f.normal, f.offset, f.vertices) for f in facets]
+
+
+def assert_derivation_holds(R):
+    """The hull of R's vertices finds R's facet system, and the rank checks pass."""
+    verts, hull_facets, _ = convex_hull(R.vertices)
+    assert R.vertices == tuple(verts)
+    assert facet_system(R.facets) == facet_system(hull_facets)
+    R._validate_trusted()
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog.entries() if e.polytope._provenance is not None]
+)
+def test_derived_catalog_entry_matches_its_hull(name):
+    assert_derivation_holds(catalog.get(name).polytope)
+
+
+def _units(dim):
+    return [tuple(s if j == i else 0 for j in range(dim)) for i in range(dim) for s in (1, -1)]
+
+
+def origin_interior(dim, bound=2):
+    """Polytopes conv(+-e_i, up to three points of [-bound, bound]^dim)."""
+    extra = st.lists(st.tuples(*[st.integers(-bound, bound)] * dim), max_size=3)
+    return extra.map(lambda pts: Polytope(_units(dim) + pts))
+
+
+polygons_and_solids = st.one_of(origin_interior(2), origin_interior(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(P=polygons_and_solids, Q=st.one_of(st.just(SEG), origin_interior(2)))
+def test_random_product_matches_its_hull(P, Q):
+    assert_derivation_holds(product(P, Q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(P=polygons_and_solids)
+def test_random_double_cone_matches_its_hull(P):
+    assert_derivation_holds(double_cone(P))
+
+
+@settings(max_examples=30, deadline=None)
+@given(P=st.one_of(origin_interior(2, bound=1), origin_interior(3, bound=1)))
+def test_random_reflexive_dual_matches_its_hull(P):
+    # inside [-1, 1]^n the origin is the only interior lattice point, which
+    # makes every polygon reflexive but not every 3-polytope
+    assume(all(f.offset == 1 for f in P.facets))
+    assert_derivation_holds(dual(P))
+
+
+def test_constructors_run_no_rank_elimination(monkeypatch):
+    # factors shaped like the catalog's: hulls of small polytopes and
+    # products, whose volumes need no elimination either
+    cube3 = product(product(SEG, SEG), SEG)
+    A3 = Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    X6 = Polytope([(0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, 1)])
+
+    def refuse(rows):
+        raise AssertionError("rank_rational reached")
+
+    monkeypatch.setattr(geometry, "rank_rational", refuse)
+    monkeypatch.setattr(linalg, "rank_rational", refuse)
+    cube4 = product(cube3, SEG)
+    built = [
+        cube4,
+        product(X6, SEG),
+        dual(cube4),
+        dual(A3),
+        dual(dual(A3)),
+        double_cone(cube4),
+        double_cone(X6),
+        double_cone(SEG),
+    ]
+    monkeypatch.undo()
+    for R in built:
+        assert_derivation_holds(R)

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowtool import catalog, triangulation
-from chowtool.errors import NotReflexive, NoStrategy
+from chowtool.errors import DegenerateSimplex, NotReflexive, NoStrategy
 from chowtool.geometry import Polytope, double_cone, product, volume, lattice_points
 from chowtool.triangulation import (
     LatticeSimplex,
@@ -545,3 +546,13 @@ def test_ridge_census_matches_slicing(name, k):
     census = T.ridge_census()
     assert census == _ridge_census_by_slicing(T)
     assert sum(census.values()) == len(T) * (T.dim + 1)
+
+
+@pytest.mark.parametrize(
+    "points", [[(1, 0), (1, 0)], [(0, 0), (1, 1), (2, 2)]], ids=["repeated vertex", "collinear"]
+)
+def test_affinely_dependent_cell_is_named(points):
+    cell = make_simplex(points)
+    T = Triangulation(dim=cell.dim, simplices=(cell,))
+    with pytest.raises(DegenerateSimplex, match=re.escape(str([list(v) for v in cell.vertices]))):
+        T.incidence()
