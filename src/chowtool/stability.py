@@ -56,7 +56,7 @@ from .symmetry import (
 from .triangulation import (
     Triangulation,
     LatticeSimplex,
-    make_simplex,
+    cell_blocks,
     boundary_triangulation,
     full_triangulation,
     delaunay_triangulation,
@@ -183,19 +183,17 @@ def _vertex_weights(carrier):
     A function linear on each cell then integrates to
     sum over v of f(v) * weight[v] / (n + 1)!.
     """
-    weight = {}
-    for s, vol in zip(carrier.simplices, carrier.volumes()):
-        for v in s.vertices:
-            weight[v] = weight.get(v, 0) + vol
-    return weight
+    weight = [0] * len(carrier.points)
+    for cell, vol in zip(carrier.cells, carrier.volumes()):
+        for i in cell:
+            weight[i] += vol
+    return dict(zip(carrier.points, weight))
 
 
 def scaled_fan_carrier(P, k):
     """Carrier for functions linear on all of kP: the k-scaled vertex fan."""
-    cells = [
-        make_simplex(tuple(k * x for x in p) for p in s) for s in _fan_simplices(P)
-    ]
-    return Triangulation(dim=P.dim, simplices=tuple(cells), strategy="scaled-fan")
+    cells = [[tuple(k * x for x in p) for p in s] for s in _fan_simplices(P)]
+    return Triangulation.from_blocks(P.dim, cell_blocks(cells), strategy="scaled-fan")
 
 
 def affine_pl_function(P, k, a, sign=1):
@@ -245,14 +243,12 @@ def bipyramid_carrier(Q):
     base_cells = corner_triangulation(Q)
     apex_up = (0,) * n + (1,)
     apex_dn = (0,) * n + (-1,)
-    simplices = []
+    cells = []
     for cell in base_cells:
         lifted = [v + (0,) for v in cell]
-        simplices.append(make_simplex(lifted + [apex_up]))
-        simplices.append(make_simplex(lifted + [apex_dn]))
-    carrier = Triangulation(
-        dim=n + 1, simplices=tuple(simplices), strategy="bipyramid"
-    )
+        cells.append(lifted + [apex_up])
+        cells.append(lifted + [apex_dn])
+    carrier = Triangulation.from_blocks(n + 1, cell_blocks(cells), strategy="bipyramid")
 
     box = _facet_as_aligned_box(Q)
 
@@ -386,7 +382,8 @@ def _double_cone_verdict(D, k_scan=16):
     if found_k == 1:
         cert_fn = _cap_function(D)
         recomputed = chow_gap(D, 1, cert_fn)
-        assert recomputed == gap, "cap certificate failed re-evaluation"
+        if recomputed != gap:
+            raise AssertionError("cap certificate failed re-evaluation")
     checks.append(
         Check.make(
             "cap gap scan",
@@ -481,7 +478,8 @@ def vertex_cap_instability(P, v):
     cert_fn = _vertex_cap_function(P, v, u, found_k)
     if cert_fn is not None:
         recomputed = chow_gap(P, found_k, cert_fn)
-        assert recomputed == gap, "vertex-cap certificate failed re-evaluation"
+        if recomputed != gap:
+            raise AssertionError("vertex-cap certificate failed re-evaluation")
     checks.append(
         Check.make(
             "vertex-cap gap scan",
@@ -542,11 +540,7 @@ def _vertex_cap_function(P, v, u, k):
     except NotFullDimensional:
         return None
     cells = list(_fan_simplices(cap, kv)) + list(_fan_simplices(rest))
-    carrier = Triangulation(
-        dim=d,
-        simplices=tuple(make_simplex(c) for c in cells),
-        strategy="vertex-cap split",
-    )
+    carrier = Triangulation.from_blocks(d, cell_blocks(cells), strategy="vertex-cap split")
     values = {}
     for p in lattice_points(P, k):
         values[p] = Fraction(max(0, dot(u, p) - cut))
@@ -851,7 +845,8 @@ def falsify(P, k):
             "no carrier available for this polytope size and dilation"
         )
 
-    vertex_set = sorted({v for s in carrier.simplices for v in s.vertices})
+    # the point table is the sorted set of carrier vertices
+    vertex_set = carrier.points
     try:
         gens = (
             automorphisms(P)
@@ -895,31 +890,31 @@ def falsify(P, k):
         rows.append(tuple(row))
         rhs.append(b)
 
-    # folds: linear extension across every interior ridge underestimates f
+    # folds: linear extension across every interior ridge underestimates f;
+    # ridges and their opposite vertices are point ids of the carrier
+    points = carrier.points
+    var_of_id = [var_of[v] for v in points]
     census = {}
-    for si, s in enumerate(carrier.simplices):
-        verts = s.vertices
-        for i in range(len(verts)):
-            face = verts[:i] + verts[i + 1 :]
-            census.setdefault(face, []).append((si, verts[i]))
+    for cell in carrier.cells:
+        for i in range(len(cell)):
+            census.setdefault(cell[:i] + cell[i + 1 :], []).append(cell[i])
     for face, owners in census.items():
         if len(owners) != 2:
             continue
-        (si, a), (sj, b) = owners
+        a, b = owners
         # [face pts | a] is an affine basis (it spans simplex A), so the
         # square homogenized system below is always nonsingular
-        mat = [
-            [face[j][i] for j in range(len(face))] + [a[i]] for i in range(n)
-        ]
-        mat.append([1] * (len(face) + 1))
-        target = list(b) + [1]
+        cols = [points[j] for j in face + (a,)]
+        mat = [[c[i] for c in cols] for i in range(n)]
+        mat.append([1] * len(cols))
+        target = list(points[b]) + [1]
         sol = solve_rational(mat, target)
         assert sol is not None, "ridge system must be solvable"
         # b = sum alpha_r r + beta a; convexity: sum alpha f(r) + beta f(a) <= f(b)
         row = [Fraction(0)] * nvars
-        for coeff, pnt in zip(sol, face + (a,)):
-            row[var_of[pnt]] += coeff
-        row[var_of[b]] -= 1
+        for coeff, j in zip(sol, face + (a,)):
+            row[var_of_id[j]] += coeff
+        row[var_of_id[b]] -= 1
         add_le(row, Fraction(0))
 
     # box 0 <= f <= 1 (lower bound is native to the solver)
@@ -963,7 +958,8 @@ def falsify(P, k):
         description="LP optimum over fold-convex orbit-constant PL functions",
     )
     gap = chow_gap(P, k, fn)
-    assert gap == -value, "LP certificate failed exact re-evaluation"
+    if gap != -value:
+        raise AssertionError("LP certificate failed exact re-evaluation")
     return Certificate(kind="lp", k=k, gap=gap, function=fn, detail="falsifier optimum")
 
 
@@ -1117,8 +1113,10 @@ def classify(P, k_max=None):
         sign = -1 if witness.value > 0 else 1
         fn = affine_pl_function(P, witness.k, a, sign=sign)
         gap = chow_gap(P, witness.k, fn)
-        assert gap == sign * fo_invariant(P, a, witness.k)
-        assert gap < 0
+        if gap != sign * fo_invariant(P, a, witness.k):
+            raise AssertionError("affine-FO certificate failed re-evaluation")
+        if gap >= 0:
+            raise AssertionError("affine-FO certificate gap is not negative")
         checks.append(
             Check.make(
                 "FO necessity",

@@ -15,6 +15,17 @@ and anything else must be user-supplied.  Cell sets restricted to shared
 faces are lattice-intrinsic for the simplex/box strategies, which is what
 makes the per-facet assembly face-compatible.
 
+A Triangulation is a point table and integer cells: points is the sorted
+tuple of its vertices, and each cell is a sorted tuple of indices into it.
+Every builder hands Triangulation.from_blocks blocks of (image points, cells
+as indices into those images): an alcove block maps the C(k+d, d) points of
+the pattern once and reuses the pattern's cells, and a staircase block
+indexes the box's lattice points by mixed radix.  volumes, incidence,
+ridge_census and verify_regular_boundary (and, in the stability module,
+chow_gap's vertex weights and the falsifier's ridge census) read the table,
+so the per-cell work hashes ints; LatticeSimplex objects are built only for
+the simplices view and for cells whose lattice points must be enumerated.
+
 Refined and staircase cells come in few shapes up to translation and
 permutation of the coordinates, neither of which changes a cell's volume,
 so a triangulation computes its volumes once per distinct edge matrix up to
@@ -22,11 +33,19 @@ column order (Triangulation.volumes); verification still checks every cell.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, reduce
-from itertools import chain, combinations, permutations, product as iter_product
-from operator import and_, attrgetter, sub
+from itertools import (
+    accumulate,
+    chain,
+    combinations,
+    compress,
+    permutations,
+    product as iter_product,
+    repeat,
+)
+from operator import add, and_, attrgetter, mul, sub
 
 from .errors import DegenerateSimplex, NoStrategy, NotReflexive
 from .geometry import (
@@ -113,28 +132,84 @@ def make_simplex(points):
     return LatticeSimplex(vertices=tuple(sorted(map(tuple, points))))
 
 
-@dataclass
+def cell_blocks(cells):
+    """One block per cell given by its vertices, for Triangulation.from_blocks."""
+    return ((cell, (tuple(range(len(cell))),)) for cell in cells)
+
+
+def _point_table(blocks):
+    """(points, cells) of the cells of every block of (images, cells).
+
+    The distinct images, sorted, make the point table; each block's images
+    are looked up once, and each cell is mapped through them and sorted.
+    Because points is sorted, sorted index tuples order exactly as the
+    sorted vertex tuples they stand for.
+    """
+    blocks = list(blocks)
+    points = tuple(sorted(dict.fromkeys(chain.from_iterable(b[0] for b in blocks))))
+    index = dict(zip(points, range(len(points))))
+    out = []
+    for images, cells in blocks:
+        get = list(map(index.__getitem__, images)).__getitem__
+        # tuple(sorted(map(get, c))) for each cell c, without a Python frame per cell
+        out.extend(map(tuple, map(sorted, map(map, repeat(get), cells))))
+    out.sort()
+    return points, tuple(out)
+
+
+@dataclass(init=False)
 class Triangulation:
     """A finite set of lattice simplices of equal dimension.
+
+    Stored as a point table: points is the lexicographically sorted tuple of
+    the vertices, and cells is the sorted tuple of the cells, each a sorted
+    tuple of indices into points.  Sorted index tuples order as the vertex
+    tuples they stand for, so simplices, a view built on first use, lists the
+    cells as LatticeSimplex objects in vertex order.  volumes, incidence,
+    ridge_census and verify_regular_boundary read points and cells.
 
     The incidence map counts, for every lattice point of the union, the
     simplices whose closed cell contains it.
     """
 
     dim: int
-    simplices: tuple
+    points: tuple
+    cells: tuple
     strategy: str = "explicit"
-    _incidence: dict = field(default=None, repr=False, compare=False)
-    _volumes: tuple = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.simplices = tuple(sorted(self.simplices, key=_vertices_of))
+    def __init__(self, dim, simplices, strategy="explicit"):
+        self._assemble(dim, cell_blocks(map(_vertices_of, simplices)), strategy)
+
+    @classmethod
+    def from_blocks(cls, dim, blocks, strategy="explicit"):
+        """The triangulation whose cells are those of every block.
+
+        A block is (images, cells): a sequence of lattice points and cells
+        given as tuples of indices into it.  Points shared between blocks
+        become one entry of the point table.
+        """
+        T = cls.__new__(cls)
+        T._assemble(dim, blocks, strategy)
+        return T
+
+    def _assemble(self, dim, blocks, strategy):
+        self.dim = dim
+        self.points, self.cells = _point_table(blocks)
+        self.strategy = strategy
+        self._incidence = None
+        self._volumes = None
+
+    @cached_property
+    def simplices(self):
+        """The cells as LatticeSimplex objects, in vertex order."""
+        get = self.points.__getitem__
+        return tuple(LatticeSimplex(tuple(map(get, c))) for c in self.cells)
 
     def __len__(self):
-        return len(self.simplices)
+        return len(self.cells)
 
     def volumes(self):
-        """d! times each cell's relative volume, aligned with simplices.
+        """d! times each cell's relative volume, aligned with cells.
 
         A cell's volume depends only on its edge matrix, and two memos, both
         local to this one pass, share it between cells (whose vertices lie
@@ -148,17 +223,19 @@ class Triangulation:
         distinct second key, on the edge matrix with its columns sorted.
         """
         if self._volumes is None:
+            get = self.points.__getitem__
             flat_memo = {}
             memo = {}
             out = []
-            for verts in map(_vertices_of, self.simplices):
+            for cell in self.cells:
+                first = get(cell[0])
                 # every later vertex minus the first, coordinate by coordinate
                 flat = tuple(
-                    map(sub, chain.from_iterable(verts[1:]), verts[0] * (len(verts) - 1))
+                    map(sub, chain.from_iterable(map(get, cell[1:])), first * (len(cell) - 1))
                 )
                 vol = flat_memo.get(flat)
                 if vol is None:
-                    n = len(verts[0])
+                    n = len(first)
                     key = tuple(sorted([flat[j::n] for j in range(n)]))
                     vol = memo.get(key)
                     if vol is None:
@@ -170,36 +247,52 @@ class Triangulation:
 
     def relative_volume(self):
         """Sum of the cells' relative volumes, added as ints over one d!."""
-        if not self.simplices:
+        if not self.cells:
             return Fraction(0)
-        return Fraction(sum(self.volumes()), _factorial(self.simplices[0].dim))
+        return Fraction(sum(self.volumes()), _factorial(len(self.cells[0]) - 1))
 
     def all_unimodular(self):
         return all(vol == 1 for vol in self.volumes())
 
     def incidence(self):
+        """{lattice point: number of cells containing it}, keyed in the order
+        the points first appear, cell by cell.
+
+        A unimodular cell contains only its vertices, counted by id; the
+        lattice points of any other cell are enumerated, each counted under
+        its id in the table or under a new id past it.
+        """
         if self._incidence is not None:
             return self._incidence
-        self._incidence = dict(
-            Counter(
-                chain.from_iterable(
-                    s.vertices if vol == 1 else _lattice_points_of_simplex(s)
-                    for s, vol in zip(self.simplices, self.volumes())
-                )
-            )
-        )
+        points = self.points
+        index = None
+
+        def ids(cell, vol):
+            nonlocal index
+            if vol == 1:
+                return cell
+            if index is None:
+                index = {p: i for i, p in enumerate(points)}
+            s = LatticeSimplex(tuple(map(points.__getitem__, cell)))
+            return [index.setdefault(p, len(index)) for p in _lattice_points_of_simplex(s)]
+
+        counts = Counter(chain.from_iterable(map(ids, self.cells, self.volumes())))
+        every = points if index is None else tuple(index)
+        self._incidence = {every[i]: c for i, c in counts.items()}
         return self._incidence
+
+    def ridge_counts(self):
+        """Map from (d-1)-subface (sorted tuple of point ids) to the number
+        of incident cells, keyed in the order the faces first appear."""
+        if not self.cells:
+            return {}
+        d = len(self.cells[0]) - 1
+        return Counter(chain.from_iterable(map(combinations, self.cells, repeat(d))))
 
     def ridge_census(self):
         """Map from (d-1)-subface (sorted vertex tuple) to the number of incident cells."""
-        return dict(
-            Counter(
-                chain.from_iterable(
-                    combinations(verts, len(verts) - 1)
-                    for verts in map(_vertices_of, self.simplices)
-                )
-            )
-        )
+        get = self.points.__getitem__
+        return {tuple(map(get, face)): c for face, c in self.ridge_counts().items()}
 
 
 def _lattice_points_of_simplex(s):
@@ -298,8 +391,7 @@ def standard_simplex_triangulation(n, k):
     kT_n has dimension n-r and the walls form one run.
     """
     points, _, cells = _alcove_pattern(n, k)
-    simplices = [make_simplex([points[i] for i in c]) for c in cells]
-    return Triangulation(dim=n, simplices=tuple(simplices), strategy="alcove")
+    return Triangulation.from_blocks(n, [(points, cells)], strategy="alcove")
 
 
 def alcove_refine_dilated_simplex(verts, k):
@@ -322,17 +414,25 @@ def alcove_refine_cycle(verts, k):
     three vertices (three-element cycles are all dihedrally equivalent),
     or when neighbours use the induced order of this cycle.
     """
-    verts = [tuple(v) for v in verts]
-    d = len(verts) - 1
+    images, cells = _alcove_block([tuple(v) for v in verts], k)
+    return [make_simplex([images[i] for i in c]) for c in cells]
+
+
+def _alcove_block(verts, k):
+    """(images, cells): the alcove pattern of kT_d carried onto
+    k * conv(verts), with the vertex cycle in the given order.
+
+    images[i] is k*base + sum_j x_j cols[j] for the pattern point x =
+    points[i], one column added per step; cells are the pattern's, indices
+    into images.
+    """
     base = verts[0]
     cols = [vec_sub(v, base) for v in verts[1:]]
-    _, steps, cells = _alcove_pattern(d, k)
-    # k*base + sum_j x_j cols[j] for every pattern point x, one column
-    # added per step
+    _, steps, cells = _alcove_pattern(len(verts) - 1, k)
     images = [tuple(k * b for b in base)]
     for p, j in steps:
-        images.append(vec_add(images[p], cols[j]))
-    return [make_simplex([images[i] for i in c]) for c in cells]
+        images.append(tuple(map(add, images[p], cols[j])))
+    return images, cells
 
 
 def refine_anchored(small, m):
@@ -341,14 +441,12 @@ def refine_anchored(small, m):
     Used for facets that are m-dilated unimodular simplices in place: the
     target simplex is small[0] + m (conv(small) - small[0]).  Translation
     preserves lexicographic order, so the canonical cycles still match
-    across shared faces.
+    across shared faces.  Each cell's vertices come in sorted order.
     """
-    base = small[0]
-    shift = tuple((1 - m) * x for x in base)
-    out = []
-    for c in alcove_refine_dilated_simplex(list(small), m):
-        out.append([tuple(a + s for a, s in zip(v, shift)) for v in c.vertices])
-    return out
+    shift = tuple((1 - m) * x for x in small[0])
+    images, cells = _alcove_block(sorted(small), m)
+    moved = [vec_add(p, shift) for p in images]
+    return [sorted(moved[i] for i in c) for c in cells]
 
 
 def staircase_chain(origin, steps, order):
@@ -363,15 +461,34 @@ def staircase_chain(origin, steps, order):
     return chain
 
 
+def _freudenthal_box_block(los, his):
+    """(points, cells) of the staircase triangulation of an integer box: the
+    box's lattice points in lexicographic order, and one chain per unit cube
+    and coordinate order, as indices into points.
+
+    A point's index is its mixed-radix offset from los, so a step along
+    coordinate j adds the stride of j.
+    """
+    sizes = [hi - lo + 1 for lo, hi in zip(los, his)]
+    strides = [1] * len(sizes)
+    for j in range(len(sizes) - 2, -1, -1):
+        strides[j] = strides[j + 1] * sizes[j + 1]
+    points = list(iter_product(*(range(lo, hi + 1) for lo, hi in zip(los, his))))
+    chains = [
+        tuple(accumulate([0] + [strides[j] for j in order]))
+        for order in permutations(range(len(los)))
+    ]
+    cells = []
+    for m in iter_product(*(range(size - 1) for size in sizes)):
+        start = sum(map(mul, m, strides))
+        cells.extend(tuple(start + x for x in c) for c in chains)
+    return points, cells
+
+
 def _freudenthal_box_cells(los, his):
     """Staircase cells of an axis-aligned integer box, one chain per unit cell."""
-    d = len(los)
-    unit = (1,) * d
-    return [
-        staircase_chain(m, unit, order)
-        for m in iter_product(*(range(lo, hi) for lo, hi in zip(los, his)))
-        for order in permutations(range(d))
-    ]
+    points, cells = _freudenthal_box_block(los, his)
+    return [[points[i] for i in c] for c in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +712,14 @@ def _best_cycle_triangulation(cycle, valence):
 def level1_boundary(P):
     """Per-facet unimodular triangulation of the undilated boundary.
 
-    Returns a tuple of (facet, cells), built once per polytope; raises
+    Returns a tuple of (facet, cells, box), built once per polytope, where
+    box is the facet's _facet_as_aligned_box (None off boxes); raises
     NoStrategy when a facet fits none of the built-in shapes.
     """
     if P._level1 is None:
         P._level1 = tuple(
-            (f, tuple(tuple(cell) for cell in cells)) for f, cells in _level1_cells(P)
+            (f, tuple(tuple(cell) for cell in cells), box)
+            for f, cells, box in _level1_cells(P)
         )
     return P._level1
 
@@ -608,18 +727,18 @@ def level1_boundary(P):
 def _level1_cells(P):
     n = P.dim
     if n == 1:
-        return [(f, [[f.vertices[0]]]) for f in P.facets]
+        return [(f, [[f.vertices[0]]], None) for f in P.facets]
     out = []
     for f in P.facets:
+        box = _facet_as_aligned_box(f)
         m_simplex = _facet_as_dilated_simplex(f)
         if m_simplex is not None:
             m, small = m_simplex
             if m == 1:
-                out.append((f, [list(small)]))
+                out.append((f, [list(small)], box))
             else:
-                out.append((f, refine_anchored(small, m)))
+                out.append((f, refine_anchored(small, m), box))
             continue
-        box = _facet_as_aligned_box(f)
         if box is not None:
             active, los, his = box
             cells = []
@@ -627,10 +746,10 @@ def _level1_cells(P):
                 [los[i] for i in active], [his[i] for i in active]
             ):
                 cells.append([_embed(active, los, p) for p in cell])
-            out.append((f, cells))
+            out.append((f, cells, box))
             continue
         if n == 3:
-            out.append((f, _polygon_facet_level1(P, f)))
+            out.append((f, _polygon_facet_level1(P, f), None))
             continue
         raise NoStrategy(
             f"no triangulation strategy for facet with normal {f.normal}"
@@ -643,33 +762,29 @@ def boundary_triangulation(P, k, user=None):
 
     Strategy-built triangulations are the k-dilations of the level-1 facet
     triangulations, refined inside each dilated cell by the alcove rule, so
-    incidence counts depend only on the stratum of a point.  A user-supplied
-    Triangulation is passed through unchanged.
+    incidence counts depend only on the stratum of a point; a box facet's
+    staircase at level 1 is the staircase of the box, so k times the box is
+    staircased directly.  A user-supplied Triangulation is passed through
+    unchanged.
     """
     if user is not None:
         return user
     n = P.dim
     if n == 1:
-        cells = [make_simplex([(k * f.vertices[0][0],)]) for f in P.facets]
-        return Triangulation(dim=0, simplices=tuple(cells), strategy="segments")
-    level1 = level1_boundary(P)
-    simplices = []
-    for facet, cells in level1:
-        box = _facet_as_aligned_box(facet)
-        if box is not None and k > 1:
-            active, los, his = box
-            for cell in _freudenthal_box_cells(
-                [k * los[i] for i in active], [k * his[i] for i in active]
-            ):
-                fixed = [k * c for c in los]
-                simplices.append(make_simplex([_embed(active, fixed, p) for p in cell]))
+        points = [(k * f.vertices[0][0],) for f in P.facets]
+        return Triangulation.from_blocks(0, cell_blocks([p] for p in points), "segments")
+    blocks = []
+    for facet, cells, box in level1_boundary(P):
+        if box is None:
+            blocks.extend(_alcove_block(sorted(cell), k) for cell in cells)
             continue
-        for cell in cells:
-            if k == 1:
-                simplices.append(make_simplex(cell))
-            else:
-                simplices.extend(alcove_refine_dilated_simplex(list(cell), k))
-    return Triangulation(dim=n - 1, simplices=tuple(simplices), strategy="facets")
+        active, los, his = box
+        fixed = [k * c for c in los]
+        points, box_cells = _freudenthal_box_block(
+            [k * los[i] for i in active], [k * his[i] for i in active]
+        )
+        blocks.append(([_embed(active, fixed, p) for p in points], box_cells))
+    return Triangulation.from_blocks(n - 1, blocks, strategy="facets")
 
 
 def cone_over_boundary(P, boundary_tri):
@@ -682,11 +797,10 @@ def cone_over_boundary(P, boundary_tri):
         raise NotReflexive("cone_over_boundary requires a reflexive polytope")
     n = P.dim
     origin = (0,) * n
-    cells = []
-    for s in boundary_tri.simplices:
-        assert origin not in s.vertices
-        cells.append(make_simplex((origin,) + s.vertices))
-    return Triangulation(dim=n, simplices=tuple(cells), strategy="cone")
+    assert origin not in boundary_tri.points
+    images = (origin,) + boundary_tri.points
+    cells = [(0,) + tuple(i + 1 for i in c) for c in boundary_tri.cells]
+    return Triangulation.from_blocks(n, [(images, cells)], strategy="cone")
 
 
 def polygon_unimodular_triangulation(Q):
@@ -776,7 +890,7 @@ def full_triangulation(P, k):
         raise NotReflexive("full triangulation requires a reflexive polytope")
     n = P.dim
     origin = (0,) * n
-    simplices = []
+    blocks = []
     prov = P._provenance
     if prov is not None and prov[0] == "double_cone" and prov[1][0].dim == 2:
         Q = prov[1][0]
@@ -792,22 +906,12 @@ def full_triangulation(P, k):
                 # cycle (apex, p, excl, q): the apex is adjacent to p and q,
                 # so dilated edges [apex, p], [apex, q] meet only 4 cells of
                 # this refinement; excl sits opposite the apex
-                cone = [apex] + lifted
-                if k == 1:
-                    simplices.append(make_simplex(cone))
-                else:
-                    simplices.extend(alcove_refine_cycle(cone, k))
-        return Triangulation(
-            dim=n, simplices=tuple(simplices), strategy="bipyramid-refined"
-        )
-    for facet, cells in level1_boundary(P):
+                blocks.append(_alcove_block([apex] + lifted, k))
+        return Triangulation.from_blocks(n, blocks, strategy="bipyramid-refined")
+    for facet, cells, _ in level1_boundary(P):
         for cell in cells:
-            cone = [origin] + [tuple(p) for p in cell]
-            if k == 1:
-                simplices.append(make_simplex(cone))
-            else:
-                simplices.extend(alcove_refine_dilated_simplex(cone, k))
-    return Triangulation(dim=n, simplices=tuple(simplices), strategy="refined-cone")
+            blocks.append(_alcove_block(sorted((origin,) + cell), k))
+    return Triangulation.from_blocks(n, blocks, strategy="refined-cone")
 
 
 def delaunay_triangulation(points):
@@ -820,11 +924,10 @@ def delaunay_triangulation(points):
     pts = sorted(set(tuple(p) for p in points))
     n = len(pts[0])
     if n == 1:
-        cells = [
-            make_simplex([pts[i], pts[i + 1]]) for i in range(len(pts) - 1)
-        ]
-        return Triangulation(dim=1, simplices=tuple(cells), strategy="delaunay")
+        cells = [(i, i + 1) for i in range(len(pts) - 1)]
+        return Triangulation.from_blocks(1, [(pts, cells)], strategy="delaunay")
     lifted = [p + (sum(x * x for x in p),) for p in pts]
+    index = {q: i for i, q in enumerate(lifted)}
     verts, facets, raw = convex_hull(lifted)
     # the interior point is inside_sum / len(lifted); the side test stays in ints
     inside_sum = tuple(sum(c) for c in zip(*lifted))
@@ -840,8 +943,8 @@ def delaunay_triangulation(points):
         cell = [p[:-1] for p in simplex]
         if abs(det_int([vec_sub(q, cell[0]) for q in cell[1:]])) == 0:
             continue
-        cells.append(make_simplex(cell))
-    return Triangulation(dim=n, simplices=tuple(cells), strategy="delaunay")
+        cells.append(tuple(index[q] for q in simplex))
+    return Triangulation.from_blocks(n, [(pts, cells)], strategy="delaunay")
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +984,10 @@ def verify_regular_boundary(P, T, k):
     Verifies coverage (relative volumes sum to Vol(boundary) * k^{n-1}),
     per-simplex unimodularity, the pseudo-manifold ridge condition (every
     interior ridge in exactly two cells), facet alignment, and the incidence
-    bound n! at every lattice point.  Every cell is checked; the volumes
-    come from T.volumes(), one kernel call per distinct edge matrix up to
-    column order.
+    bound n! at every lattice point.  Every cell is checked, through T's
+    point table: the volumes come from T.volumes(), one kernel call per
+    distinct edge matrix up to column order, and facet masks are one int per
+    point.
     """
     n = P.dim
     expected = boundary_volume(P) * k ** (n - 1)
@@ -893,28 +997,23 @@ def verify_regular_boundary(P, T, k):
     nonuni_count = len(T) - T.volumes().count(1)
 
     # bit i of a point's mask: the point lies on facet i of kP, that is
-    # <normal, x> = -k offset; each distinct vertex is tested once, and a
+    # <normal, x> = -k offset; each point of the table is tested once, and a
     # cell lies on a facet iff the masks of its vertices share a bit
-    planes = [(f.normal, -k * f.offset) for f in P.facets]
-    masks = {
-        p: sum(
-            1 << i for i, (normal, level) in enumerate(planes) if dot(normal, p) == level
-        )
-        for p in set(chain.from_iterable(map(_vertices_of, T.simplices)))
-    }
-    facet_aligned = all(
-        reduce(and_, map(masks.__getitem__, s.vertices)) for s in T.simplices
-    )
+    points = T.points
+    masks = [0] * len(points)
+    for i, f in enumerate(P.facets):
+        # the points with <normal, x> = level, each dot product a C-level sum
+        level = -k * f.offset
+        dots = map(sum, map(map, repeat(mul), repeat(f.normal), points))
+        for j in compress(range(len(points)), map(level.__eq__, dots)):
+            masks[j] |= 1 << i
+    # reduce(and_, (masks of c's vertices)) for each cell c
+    facet_aligned = all(map(reduce, repeat(and_), map(map, repeat(masks.__getitem__), T.cells)))
 
     # the boundary of kP is a closed surface, so every ridge of a proper
     # triangulation lies in exactly two cells; a count of one flags two
     # facets subdividing their shared face differently
-    face_compatible = True
-    if T.dim >= 1:
-        for face, cnt in T.ridge_census().items():
-            if cnt != 2:
-                face_compatible = False
-                break
+    face_compatible = T.dim < 1 or set(T.ridge_counts().values()) <= {2}
 
     counts = T.incidence()
     bound = _factorial(n)

@@ -406,3 +406,57 @@ def test_check_special_runs_each_facet_hull_once(monkeypatch):
     want = [tuple(sorted(geometry.facet_coordinates(f, f.vertices)[0])) for f in faces]
     assert sorted(hulled) == sorted(want)
     assert sorted(P._facet_polytopes) == sorted((f.normal, f.offset) for f in faces)
+
+
+_WRONG_GAP_PROBE = """
+from fractions import Fraction
+from chowtool import stability
+from chowtool.geometry import Polytope, double_cone, product
+
+assert not __debug__
+SEG = Polytope([(-1,), (1,)])
+cube6 = SEG
+for _ in range(5):
+    cube6 = product(cube6, SEG)
+skew = Polytope([(0, 0), (2, 0), (0, 1)])
+stability.chow_gap = lambda P, k, f: Fraction(12345)
+cases = [
+    ("cap", lambda: stability.double_cone_instability(cube6)),
+    ("vertex-cap", lambda: stability.vertex_cap_instability(double_cone(cube6), (0,) * 6 + (1,))),
+    ("lp", lambda: stability.falsify(skew, 1)),
+    ("affine-fo", lambda: stability.classify(skew)),
+]
+for name, run in cases:
+    try:
+        run()
+    except AssertionError as exc:
+        print(name, "refused:", exc)
+    else:
+        print(name, "accepted")
+"""
+
+
+def test_certificate_rechecks_survive_optimized_mode():
+    # python -O strips assert statements; a chow_gap that returns a wrong gap
+    # must still stop each certificate path
+    import os
+    import subprocess
+    import sys
+
+    import chowtool
+
+    src = os.path.dirname(os.path.dirname(chowtool.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_GAP_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "cap refused: cap certificate failed re-evaluation",
+        "vertex-cap refused: vertex-cap certificate failed re-evaluation",
+        "lp refused: LP certificate failed exact re-evaluation",
+        "affine-fo refused: affine-FO certificate failed re-evaluation",
+    ]

@@ -1,20 +1,34 @@
+import copy
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, combinations, permutations, product as iproduct
 from math import factorial
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowtool import catalog, triangulation
 from chowtool.errors import DegenerateSimplex, NotReflexive, NoStrategy
-from chowtool.geometry import Polytope, double_cone, product, volume, lattice_points
+from chowtool.geometry import (
+    Polytope,
+    boundary_volume,
+    double_cone,
+    product,
+    volume,
+    lattice_points,
+)
 from chowtool.triangulation import (
+    BoundaryReport,
     LatticeSimplex,
     Triangulation,
+    cell_blocks,
+    level1_boundary,
     make_simplex,
+    staircase_chain,
     standard_simplex_triangulation,
+    alcove_refine_cycle,
     alcove_refine_dilated_simplex,
     boundary_triangulation,
     cone_over_boundary,
@@ -24,7 +38,7 @@ from chowtool.triangulation import (
     incidence,
     polygon_unimodular_triangulation,
 )
-from chowtool.linalg import simplex_edge_matrix, simplex_relative_volume_times_factorial
+from chowtool.linalg import dot, simplex_edge_matrix, simplex_relative_volume_times_factorial
 
 X3 = Polytope([(-1, -1), (1, 0), (0, 1)], name="X3")
 X4 = Polytope([(1, 0), (-1, 0), (0, 1), (0, -1)], name="X4")
@@ -325,8 +339,6 @@ def _random_unimodular_simplex(rng, d, n):
 def test_alcove_refine_cycle_matches_per_point_oracle():
     from random import Random
 
-    from chowtool.triangulation import alcove_refine_cycle
-
     rng = Random(20)
     for d in range(1, 5):
         for k in range(1, 5):
@@ -556,3 +568,286 @@ def test_affinely_dependent_cell_is_named(points):
     T = Triangulation(dim=cell.dim, simplices=(cell,))
     with pytest.raises(DegenerateSimplex, match=re.escape(str([list(v) for v in cell.vertices]))):
         T.incidence()
+
+
+# ---------------------------------------------------------------------------
+# the per-LatticeSimplex representation the point table replaced, kept as its
+# oracle: cells built one LatticeSimplex at a time, censuses as tuple Counters
+# ---------------------------------------------------------------------------
+
+
+def _staircase_by_chains(los, his):
+    d = len(los)
+    return [
+        staircase_chain(m, (1,) * d, order)
+        for m in iproduct(*(range(lo, hi) for lo, hi in zip(los, his)))
+        for order in permutations(range(d))
+    ]
+
+
+def _boundary_by_simplices(P, k):
+    if P.dim == 1:
+        return sorted(make_simplex([(k * f.vertices[0][0],)]) for f in P.facets)
+    simplices = []
+    for facet, cells, _ in level1_boundary(P):
+        box = triangulation._facet_as_aligned_box(facet)
+        if box is not None and k > 1:
+            active, los, his = box
+            fixed = [k * c for c in los]
+            for chain_ in _staircase_by_chains(
+                [k * los[i] for i in active], [k * his[i] for i in active]
+            ):
+                simplices.append(
+                    make_simplex([triangulation._embed(active, fixed, p) for p in chain_])
+                )
+            continue
+        for cell in cells:
+            if k == 1:
+                simplices.append(make_simplex(cell))
+            else:
+                simplices.extend(alcove_refine_dilated_simplex(cell, k))
+    return sorted(simplices, key=attrgetter("vertices"))
+
+
+def _full_by_simplices(P, k):
+    if not all(f.offset == 1 for f in P.facets):
+        raise NotReflexive("full triangulation requires a reflexive polytope")
+    origin = (0,) * P.dim
+    simplices = []
+    prov = P._provenance
+    if prov is not None and prov[0] == "double_cone" and prov[1][0].dim == 2:
+        Q = prov[1][0]
+        tris = [tuple(t) for t in polygon_unimodular_triangulation(Q)]
+        for tri, excl in zip(tris, triangulation._bipyramid_exclusions(Q, tris)):
+            rest = sorted(v for v in tri if v != excl)
+            lifted = [v + (0,) for v in (rest[0], excl, rest[1])]
+            for apex in ((0, 0, 1), (0, 0, -1)):
+                cone = [apex] + lifted
+                if k == 1:
+                    simplices.append(make_simplex(cone))
+                else:
+                    simplices.extend(alcove_refine_cycle(cone, k))
+    else:
+        for facet, cells, _ in level1_boundary(P):
+            for cell in cells:
+                cone = [origin] + list(cell)
+                if k == 1:
+                    simplices.append(make_simplex(cone))
+                else:
+                    simplices.extend(alcove_refine_dilated_simplex(cone, k))
+    return sorted(simplices, key=attrgetter("vertices"))
+
+
+def _volumes_by_simplices(simplices):
+    # one minor-gcd kernel call per cell shape up to translation
+    memo = {}
+    out = []
+    for s in simplices:
+        edges = tuple(tuple(a - b for a, b in zip(v, s.vertices[0])) for v in s.vertices[1:])
+        if edges not in memo:
+            memo[edges] = simplex_relative_volume_times_factorial(s.vertices)
+        out.append(memo[edges])
+    return tuple(out)
+
+
+def _incidence_by_simplices(simplices, vols):
+    return dict(
+        Counter(
+            chain.from_iterable(
+                s.vertices if vol == 1 else triangulation._lattice_points_of_simplex(s)
+                for s, vol in zip(simplices, vols)
+            )
+        )
+    )
+
+
+def _ridge_census_by_simplices(simplices):
+    return dict(
+        Counter(
+            chain.from_iterable(
+                combinations(s.vertices, len(s.vertices) - 1) for s in simplices
+            )
+        )
+    )
+
+
+def _report_by_simplices(P, simplices, k, vols, counts, census):
+    """verify_regular_boundary over vertex tuples, from the oracle censuses."""
+    n = P.dim
+    total = Fraction(sum(vols), factorial(n - 1)) if simplices else Fraction(0)
+    expected = boundary_volume(P) * k ** (n - 1)
+    nonuni = len(simplices) - vols.count(1)
+    # the facets of kP through each vertex, then a common one per cell
+    on = {
+        v: {i for i, f in enumerate(P.facets) if dot(f.normal, v) == -k * f.offset}
+        for v in {v for s in simplices for v in s.vertices}
+    }
+    facet_aligned = all(set.intersection(*(on[v] for v in s.vertices)) for s in simplices)
+    face_compatible = n - 1 < 1 or all(c == 2 for c in census.values())
+    bound = factorial(n)
+    max_inc = max(counts.values()) if counts else 0
+    return BoundaryReport(
+        dilation=k,
+        cell_count=len(simplices),
+        coverage_ok=total == expected,
+        total_relative_volume=total,
+        expected_relative_volume=expected,
+        all_unimodular=not nonuni,
+        nonunimodular_count=nonuni,
+        face_compatible=face_compatible,
+        facet_aligned=facet_aligned,
+        max_incidence=max_inc,
+        incidence_bound=bound,
+        offenders=tuple(sorted(p for p, c in counts.items() if c > bound)),
+        regular=(
+            total == expected and not nonuni and face_compatible and facet_aligned
+            and max_inc <= bound
+        ),
+    )
+
+
+def _assert_matches_oracle(T, simplices):
+    """T agrees with the oracle cells; returns the oracle's (volumes,
+    incidence, ridge census)."""
+    assert [s.vertices for s in T.simplices] == [s.vertices for s in simplices]
+    assert T.points == tuple(sorted({v for s in simplices for v in s.vertices}))
+    assert list(T.cells) == sorted(T.cells)
+    assert all(list(c) == sorted(c) for c in T.cells)
+    vols = _volumes_by_simplices(simplices)
+    counts = _incidence_by_simplices(simplices, vols)
+    census = _ridge_census_by_simplices(simplices)
+    assert T.volumes() == vols
+    assert list(T.incidence().items()) == list(counts.items())
+    assert list(T.ridge_census().items()) == list(census.items())
+    return vols, counts, census
+
+
+# Every catalog entry whose classify builds a boundary triangulation (through
+# check_special or check_sufficient) and, in the second list, a full one;
+# the products among the entries are classified through their factors.
+# D6, D7 and simplexPn5 run at k <= 2 only.
+_SPECIAL_ENTRIES = [
+    "A2", "A3", "A4", "A5", "D2", "D3", "D4", "D5", "D_X3", "D_X4", "D_X6",
+    "D_X8", "D_X9", "P3_blowup4", "P3_blowup4_dual", "P3modZ4", "X3", "X4", "X6",
+    "X9", "cube5_doublecone", "cube6_doublecone", "cube7_doublecone",
+    "cuboctahedron", "rhombic_dodecahedron", "simplexPn2", "simplexPn3",
+    "simplexPn4", "D6", "D7", "simplexPn5",
+]
+_SUFFICIENT_ENTRIES = [
+    "D_X8", "D_X9", "P3_blowup4", "cube5_doublecone", "cube6_doublecone",
+    "cube7_doublecone",
+]
+_SMALL_K_ENTRIES = ("D6", "D7", "simplexPn5")
+
+
+def _oracle_cases():
+    for name in _SPECIAL_ENTRIES:
+        for kind in ("boundary", "full") if name in _SUFFICIENT_ENTRIES else ("boundary",):
+            yield pytest.param(name, kind, id=f"{name}-{kind}")
+
+
+@pytest.mark.parametrize("name, kind", _oracle_cases())
+def test_point_table_matches_simplex_oracle(name, kind):
+    P = catalog.get(name).polytope
+    build, oracle = {
+        "boundary": (boundary_triangulation, _boundary_by_simplices),
+        "full": (full_triangulation, _full_by_simplices),
+    }[kind]
+    for k in range(1, 3 if name in _SMALL_K_ENTRIES else 5):
+        try:
+            T = build(P, k)
+        except (NoStrategy, NotReflexive) as exc:
+            with pytest.raises(type(exc)):
+                oracle(P, k)
+            continue
+        simplices = oracle(P, k)
+        censuses = _assert_matches_oracle(T, simplices)
+        if kind == "boundary":
+            expected = _report_by_simplices(P, simplices, k, *censuses)
+            assert verify_regular_boundary(P, T, k) == expected
+        del T.simplices  # the view is rebuilt on demand; free it between dilations
+
+
+@st.composite
+def _user_cells(draw):
+    """d-simplices in Z^n with coordinates in [-2, 2]: shared vertices,
+    non-unimodular cells and affinely dependent ones all turn up."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 3))
+    coord = st.integers(-2, 2)
+    cells = draw(
+        st.lists(
+            st.lists(st.tuples(*[coord] * n), min_size=d + 1, max_size=d + 1),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return d, cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(_user_cells())
+def test_user_cells_round_trip(case):
+    d, cells = case
+    simplices = [make_simplex(c) for c in cells]
+    T = Triangulation(d, simplices=tuple(simplices))
+    oracle = sorted(simplices, key=attrgetter("vertices"))
+    assert T.simplices == tuple(oracle)
+    assert T == Triangulation.from_blocks(d, cell_blocks(cells))
+    assert T == Triangulation(d, simplices=T.simplices)
+    vols = _volumes_by_simplices(oracle)
+    assert T.volumes() == vols
+    assert list(T.ridge_census().items()) == list(_ridge_census_by_simplices(oracle).items())
+    try:
+        expected = _incidence_by_simplices(oracle, vols)
+    except DegenerateSimplex as exc:
+        with pytest.raises(DegenerateSimplex, match=re.escape(str(exc))):
+            T.incidence()
+    else:
+        assert list(T.incidence().items()) == list(expected.items())
+
+
+def test_freudenthal_box_cells_are_staircase_chains():
+    for los, his in [([0], [3]), ([0, -1], [2, 1]), ([1, 0, -2], [2, 2, 0]), ([0] * 4, [2] * 4)]:
+        assert triangulation._freudenthal_box_cells(los, his) == _staircase_by_chains(los, his)
+
+
+def test_refine_anchored_matches_shifted_oracle():
+    # 3 times the unimodular simplex conv{(1, 0, 2), (2, 0, 2), (1, 1, 2)} about (1, 0, 2)
+    small = ((1, 0, 2), (2, 0, 2), (1, 1, 2))
+    shift = tuple(-2 * x for x in small[0])
+    oracle = [
+        [tuple(a + b for a, b in zip(v, shift)) for v in s.vertices]
+        for s in _alcove_refine_cycle_by_points(sorted(small), 3)
+    ]
+    assert triangulation.refine_anchored(small, 3) == oracle
+
+
+def test_box_detection_runs_once_per_facet(monkeypatch):
+    calls = []
+    detect = triangulation._facet_as_aligned_box
+
+    def counted(facet):
+        calls.append(facet)
+        return detect(facet)
+
+    monkeypatch.setattr(triangulation, "_facet_as_aligned_box", counted)
+    for P in (_cube4(), double_cone(X8), Polytope(X6.vertices)):
+        calls.clear()
+        for k in range(1, 5):
+            boundary_triangulation(P, k)
+        assert len(calls) == len(P.facets)
+
+
+@pytest.mark.parametrize("name", ["simplexPn4", "D5"])
+def test_classify_builds_no_lattice_simplex(monkeypatch, name):
+    from chowtool import stability
+
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("LatticeSimplex built")
+
+    P = copy.deepcopy(catalog.get(name).polytope)
+    monkeypatch.setattr(triangulation, "LatticeSimplex", Refused)
+    monkeypatch.setattr(stability, "LatticeSimplex", Refused)
+    assert stability.classify(P).status == stability.POLYSTABLE
