@@ -21,7 +21,7 @@ Every builder hands Triangulation.from_blocks blocks of (image points, cells
 as indices into those images): an alcove block maps the C(k+d, d) points of
 the pattern once and reuses the pattern's cells, and a staircase block
 indexes the box's lattice points by mixed radix.  volumes, incidence,
-ridge_census and verify_regular_boundary (and, in the stability module,
+the ridge counts and verify_regular_boundary (and, in the stability module,
 chow_gap's vertex weights and the falsifier's ridge census) read the table,
 so the per-cell work hashes ints; LatticeSimplex objects are built only for
 the simplices view and for cells whose lattice points must be enumerated.
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, reduce
 from itertools import (
-    accumulate,
     chain,
     combinations,
     compress,
@@ -166,7 +165,8 @@ class Triangulation:
     tuple of indices into points.  Sorted index tuples order as the vertex
     tuples they stand for, so simplices, a view built on first use, lists the
     cells as LatticeSimplex objects in vertex order.  volumes, incidence,
-    ridge_census and verify_regular_boundary read points and cells.
+    ridge_counts, ridge_census and verify_regular_boundary read points and
+    cells; ridge_counts keys ridges by point ids, ridge_census by vertices.
 
     The incidence map counts, for every lattice point of the union, the
     simplices whose closed cell contains it.
@@ -466,17 +466,18 @@ def _freudenthal_box_block(los, his):
     box's lattice points in lexicographic order, and one chain per unit cube
     and coordinate order, as indices into points.
 
-    A point's index is its mixed-radix offset from los, so a step along
-    coordinate j adds the stride of j.
+    A point's index is its mixed-radix offset from los, so each unit chain
+    (a staircase_chain from the origin) becomes a tuple of index offsets.
     """
+    d = len(los)
     sizes = [hi - lo + 1 for lo, hi in zip(los, his)]
-    strides = [1] * len(sizes)
-    for j in range(len(sizes) - 2, -1, -1):
+    strides = [1] * d
+    for j in range(d - 2, -1, -1):
         strides[j] = strides[j + 1] * sizes[j + 1]
     points = list(iter_product(*(range(lo, hi + 1) for lo, hi in zip(los, his))))
     chains = [
-        tuple(accumulate([0] + [strides[j] for j in order]))
-        for order in permutations(range(len(los)))
+        [sum(map(mul, v, strides)) for v in staircase_chain((0,) * d, (1,) * d, order)]
+        for order in permutations(range(d))
     ]
     cells = []
     for m in iter_product(*(range(size - 1) for size in sizes)):

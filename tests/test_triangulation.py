@@ -2,9 +2,10 @@ import copy
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, permutations, product as iproduct
 from math import factorial
-from operator import attrgetter
+from operator import and_, attrgetter, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +340,8 @@ def _random_unimodular_simplex(rng, d, n):
 def test_alcove_refine_cycle_matches_per_point_oracle():
     from random import Random
 
+    from chowtool.triangulation import alcove_refine_cycle
+
     rng = Random(20)
     for d in range(1, 5):
         for k in range(1, 5):
@@ -587,7 +590,8 @@ def _staircase_by_chains(los, his):
 
 def _boundary_by_simplices(P, k):
     if P.dim == 1:
-        return sorted(make_simplex([(k * f.vertices[0][0],)]) for f in P.facets)
+        cells = [make_simplex([(k * f.vertices[0][0],)]) for f in P.facets]
+        return sorted(cells, key=attrgetter("vertices"))
     simplices = []
     for facet, cells, _ in level1_boundary(P):
         box = triangulation._facet_as_aligned_box(facet)
@@ -643,7 +647,7 @@ def _volumes_by_simplices(simplices):
     memo = {}
     out = []
     for s in simplices:
-        edges = tuple(tuple(a - b for a, b in zip(v, s.vertices[0])) for v in s.vertices[1:])
+        edges = tuple(tuple(map(sub, v, s.vertices[0])) for v in s.vertices[1:])
         if edges not in memo:
             memo[edges] = simplex_relative_volume_times_factorial(s.vertices)
         out.append(memo[edges])
@@ -677,12 +681,13 @@ def _report_by_simplices(P, simplices, k, vols, counts, census):
     total = Fraction(sum(vols), factorial(n - 1)) if simplices else Fraction(0)
     expected = boundary_volume(P) * k ** (n - 1)
     nonuni = len(simplices) - vols.count(1)
-    # the facets of kP through each vertex, then a common one per cell
-    on = {
-        v: {i for i, f in enumerate(P.facets) if dot(f.normal, v) == -k * f.offset}
+    # bit i of a vertex's mask: it lies on facet i of kP; a cell lies on a
+    # facet iff its vertices' masks share a bit
+    masks = {
+        v: sum(1 << i for i, f in enumerate(P.facets) if dot(f.normal, v) == -k * f.offset)
         for v in {v for s in simplices for v in s.vertices}
     }
-    facet_aligned = all(set.intersection(*(on[v] for v in s.vertices)) for s in simplices)
+    facet_aligned = all(reduce(and_, map(masks.__getitem__, s.vertices)) for s in simplices)
     face_compatible = n - 1 < 1 or all(c == 2 for c in census.values())
     bound = factorial(n)
     max_inc = max(counts.values()) if counts else 0
