@@ -87,12 +87,116 @@ def _facet_from_points(pts, inside_sum, inside_count):
     return _RawFacet(tuple(sorted(pts)), normal, h)
 
 
+def hull_facets(pts):
+    """Raw simplicial facets of the hull of distinct integer points in Z^n, n >= 2.
+
+    Beneath-beyond in the order of pts: each _RawFacet carries its sorted
+    points, its primitive inward normal and the level h of its inequality
+    <normal, x> >= h.  Raises NotFullDimensional when pts span less than Z^n.
+
+    Each point p finds the facets it sees (<normal, p> < h) by a search
+    over the ridge map, from one visible facet in the star of the point
+    inserted before it (the facets that point created), and scans all
+    facets only when none of that star is visible.  The search loses no
+    visible facet: polar to an interior point, the facets seen from p are
+    the vertices of the polar polytope beyond a hyperplane, and those span
+    a connected subgraph of its graph (a linear functional increases along
+    some edge path from any of them to its maximum, staying beyond), whose
+    edges are the ridges between true facets.  The raw facets of one true
+    facet triangulate it, so they are joined by ridges too, and two
+    adjacent true facets share a raw ridge.  So the visible set, the
+    horizon and the final raw facets are those of a scan of every facet.
+    """
+    n = len(pts[0])
+    base = _affine_basis(pts)
+    simplex = [pts[i] for i in base]
+    inside_sum = tuple(sum(c) for c in zip(*simplex))
+
+    facets = {}
+    next_id = 0
+    ridge_map = {}
+
+    def add_facet(raw):
+        nonlocal next_id
+        fid = next_id
+        next_id += 1
+        facets[fid] = raw
+        verts = raw.verts
+        for i in range(len(verts)):
+            ridge_map.setdefault(verts[:i] + verts[i + 1 :], []).append(fid)
+        return fid
+
+    def remove_facet(fid):
+        verts = facets.pop(fid).verts
+        for i in range(len(verts)):
+            ridge = verts[:i] + verts[i + 1 :]
+            owners = ridge_map[ridge]
+            owners.remove(fid)
+            if not owners:
+                del ridge_map[ridge]
+
+    def sees(fid, p):
+        f = facets[fid]
+        return dot(f.normal, p) < f.h
+
+    star = [
+        add_facet(_facet_from_points(simplex[:i] + simplex[i + 1 :], inside_sum, n + 1))
+        for i in range(n + 1)
+    ]
+    in_simplex = set(simplex)
+    for p in pts:
+        if p in in_simplex:
+            continue
+        seed = next((fid for fid in star if sees(fid, p)), None)
+        if seed is None:
+            seed = next((fid for fid in facets if sees(fid, p)), None)
+            if seed is None:
+                continue
+        visible = {seed}
+        hidden = set()
+        todo = [seed]
+        horizon = []
+        while todo:
+            fid = todo.pop()
+            verts = facets[fid].verts
+            for i in range(len(verts)):
+                ridge = verts[:i] + verts[i + 1 :]
+                owners = ridge_map[ridge]
+                if len(owners) != 2:
+                    raise AssertionError("hull ridge without exactly two facets")
+                other = owners[1] if owners[0] == fid else owners[0]
+                if other in visible:
+                    continue
+                if other not in hidden and sees(other, p):
+                    visible.add(other)
+                    todo.append(other)
+                else:
+                    hidden.add(other)
+                    horizon.append(ridge)
+        for fid in visible:
+            remove_facet(fid)
+        star = [
+            add_facet(_facet_from_points(list(ridge) + [p], inside_sum, n + 1))
+            for ridge in horizon
+        ]
+
+    for owners in ridge_map.values():
+        if len(owners) != 2:
+            raise AssertionError("hull boundary is not ridge-closed")
+    return list(facets.values())
+
+
 def convex_hull(points):
     """Exact hull of integer points: (true vertices, merged facets, raw simplices).
 
     Raw simplices triangulate the boundary (they may reference boundary
     points that are not vertices); merged facets carry primitive inward
-    normals and the true vertices on each supporting hyperplane.
+    normals and the true vertices on each supporting hyperplane.  The raw
+    facets come from hull_facets, which finds the facets each new point sees
+    by a search over ridge adjacency rather than a scan of every facet; the
+    facets seen from a point outside a convex polytope are connected
+    through ridges (hull_facets gives the argument), so both find the same
+    set and the hull is the same.
     """
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     n = len(pts[0])
@@ -108,65 +212,11 @@ def convex_hull(points):
         facets.sort(key=lambda f: (f.normal, f.offset))
         return verts, facets, [((lo,),), ((hi,),)]
 
-    base = _affine_basis(pts)
-    simplex = [pts[i] for i in base]
-    inside_sum = tuple(sum(c) for c in zip(*simplex))
-
-    facets = {}
-    next_id = [0]
-    ridge_map = {}
-
-    def add_facet(raw):
-        fid = next_id[0]
-        next_id[0] += 1
-        facets[fid] = raw
-        for i in range(len(raw.verts)):
-            ridge = raw.verts[:i] + raw.verts[i + 1 :]
-            ridge_map.setdefault(ridge, set()).add(fid)
-        return fid
-
-    def remove_facet(fid):
-        raw = facets.pop(fid)
-        for i in range(len(raw.verts)):
-            ridge = raw.verts[:i] + raw.verts[i + 1 :]
-            owners = ridge_map.get(ridge)
-            owners.discard(fid)
-            if not owners:
-                del ridge_map[ridge]
-
-    for i in range(n + 1):
-        face_pts = [simplex[j] for j in range(n + 1) if j != i]
-        add_facet(_facet_from_points(face_pts, inside_sum, n + 1))
-
-    in_simplex = set(simplex)
-    for p in pts:
-        if p in in_simplex:
-            continue
-        visible = [fid for fid, f in facets.items() if dot(f.normal, p) < f.h]
-        if not visible:
-            continue
-        visible_set = set(visible)
-        horizon = []
-        for fid in visible:
-            raw = facets[fid]
-            for i in range(len(raw.verts)):
-                ridge = raw.verts[:i] + raw.verts[i + 1 :]
-                owners = ridge_map[ridge]
-                others = owners - visible_set
-                if others:
-                    horizon.append(ridge)
-        for fid in visible:
-            remove_facet(fid)
-        for ridge in horizon:
-            add_facet(_facet_from_points(list(ridge) + [p], inside_sum, n + 1))
-
-    for ridge, owners in ridge_map.items():
-        if len(owners) != 2:
-            raise AssertionError("hull boundary is not ridge-closed")
+    raws = hull_facets(pts)
 
     # merge coplanar raw facets, then recover true vertices
     merged = {}
-    for raw in facets.values():
+    for raw in raws:
         merged.setdefault((raw.normal, raw.h), set()).update(raw.verts)
 
     candidates = set()
@@ -183,8 +233,7 @@ def convex_hull(points):
         tight = tuple(v for v in true_vertices if dot(normal, v) == h)
         facet_list.append(Facet(normal=normal, offset=-h, vertices=tight))
 
-    raw_simplices = [f.verts for f in facets.values()]
-    raw_simplices.sort()
+    raw_simplices = sorted(raw.verts for raw in raws)
     return true_vertices, facet_list, raw_simplices
 
 
@@ -252,6 +301,7 @@ class Polytope:
         self._facet_polytopes = {}  # (normal, offset) -> facet_polytope triple
         self._points_cache = {}
         self._level1 = None  # triangulation.level1_boundary, once built
+        self._bipyramid_cycles = None  # triangulation._bipyramid_cycles, once built
         self._weak_symmetry = None  # stability._weak_symmetry_check, once run
         self._provenance = None  # ("product", (P, Q)) etc., set by constructors
 

@@ -7,8 +7,9 @@ and tuple(map(add, a, b)), so the per-entry loop runs at C level; they give
 the same values and types as the generator forms.  Determinant, rank,
 independent-row selection, solve and cross_normal are fraction-free
 (elimination on ints): rank, row selection and solve scale each rational
-row by the lcm of its denominators first, and solve builds one Fraction per
-unknown only at the end; cross_normal reads every maximal minor off one
+row by the lcm of its denominators first; solve_int returns the solution as
+ints over one denominator and solve_rational builds one Fraction per
+unknown from it; cross_normal reads every maximal minor off one
 Gauss-Jordan pass.  The inverse is the integer adjugate over the
 determinant.
 """
@@ -225,14 +226,15 @@ def independent_rows(rows):
     return kept
 
 
-def solve_rational(matrix, rhs):
-    """Solve A x = b exactly; returns a tuple of Fractions or None.
+def solve_int(matrix, rhs):
+    """Solve A x = b exactly as (numerators, D) with x = numerators / D, or None.
 
     A must be square and nonsingular for a result; None signals singularity.
     Entries may be ints or Fractions: each row and its right-hand side are
     scaled to ints by the lcm of their denominators.  Fraction-free
     Gauss-Jordan elimination then ends with the last pivot D equal to the
-    determinant of the row-swapped system and the last column equal to D x.
+    determinant of the row-swapped system (of either sign) and the last
+    column equal to D x, so no Fraction is built.
     """
     a = _int_rows(list(row) + [b] for row, b in zip(matrix, rhs))
     n = len(a)
@@ -254,7 +256,19 @@ def solve_rational(matrix, rhs):
                 f = row[col]
                 row[col + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
         prev = p
-    return tuple(Fraction(row[n], prev) for row in a)
+    return tuple(row[n] for row in a), prev
+
+
+def solve_rational(matrix, rhs):
+    """Solve A x = b exactly; returns a tuple of Fractions or None.
+
+    solve_int's solution, with one Fraction per unknown.
+    """
+    sol = solve_int(matrix, rhs)
+    if sol is None:
+        return None
+    num, den = sol
+    return tuple(Fraction(x, den) for x in num)
 
 
 def matmul(a, b):

@@ -21,6 +21,7 @@ is not group-invariant.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 from .errors import (
     CoverageError,
@@ -64,7 +65,7 @@ from .triangulation import (
     staircase_chain,
     _facet_as_aligned_box,
 )
-from .linalg import dot, vec_sub, independent_rows, solve_rational, primitive
+from .linalg import dot, vec_sub, independent_rows, solve_int, solve_rational, primitive
 from .lp import solve_lp
 
 # polytopes whose weak-symmetry check would enumerate more points than this
@@ -278,11 +279,13 @@ def bipyramid_carrier(Q):
                         (verts[i], bc[i]) for i in range(len(verts)) if bc[i] != 0
                     ]
                     break
-            assert weights is not None, "point escaped the base triangulation"
+            if weights is None:
+                raise AssertionError("point escaped the base triangulation")
         # exact reconstruction check
-        for i in range(n):
-            assert sum(w * v[i] for v, w in weights) == p[i]
-        assert sum(w for _, w in weights) == 1
+        if sum(w for _, w in weights) != 1 or any(
+            sum(w * v[i] for v, w in weights) != p[i] for i in range(n)
+        ):
+            raise AssertionError("barycentric weights do not reproduce the point")
         return weights
 
     def locate(point):
@@ -292,7 +295,8 @@ def bipyramid_carrier(Q):
             return [(apex_up, Fraction(1))]
         if q == -1 and all(x == 0 for x in p):
             return [(apex_dn, Fraction(1))]
-        assert q == 0, "bipyramid carrier only serves k = 1"
+        if q != 0:
+            raise AssertionError("bipyramid carrier only serves k = 1")
         return [(v + (0,), w) for v, w in locate_base(p)]
 
     return carrier, locate
@@ -817,6 +821,60 @@ def check_sufficient(P, k_max=None):
 # ---------------------------------------------------------------------------
 
 
+def _fold_rows(carrier, var_of_id, nvars):
+    """The fold-convexity rows of falsify, each once, in order of first ridge.
+
+    Across an interior ridge with opposite vertices a and b, the linear
+    extension of f from the cell [ridge | a] must not exceed f(b): write
+    b = sum alpha_r r + beta a over the ridge points r, and the row reads
+    sum alpha_r f(r) + beta f(a) - f(b) <= 0, where the value at point id j
+    is the variable var_of_id[j].
+
+    The weights alpha solve (r - a) alpha = b - a, one equation per
+    coordinate, so they are invariant under translation and under a
+    permutation of the coordinates, which only reorders the equations.
+    The system is solved once per distinct key, the edge matrix from a with
+    its columns sorted (as in Triangulation.volumes), as ints over one
+    denominator.  Each row is kept as ints over a positive denominator,
+    divided by their gcd, so equal rows have equal keys, and Fractions are
+    made only for the distinct rows.
+    """
+    points = carrier.points
+    census = {}
+    for cell in carrier.cells:
+        for i in range(len(cell)):
+            census.setdefault(cell[:i] + cell[i + 1 :], []).append(cell[i])
+    memo = {}
+    unique = {}
+    for face, owners in census.items():
+        if len(owners) != 2:
+            continue
+        a, b = owners
+        pa = points[a]
+        # [face pts | a] is an affine basis (it spans a cell), so the square
+        # system is nonsingular; each column is one coordinate's equation
+        key = tuple(sorted(zip(*(vec_sub(points[j], pa) for j in face + (b,)))))
+        sol = memo.get(key)
+        if sol is None:
+            sol = solve_int([c[:-1] for c in key], [c[-1] for c in key])
+            if sol is None:
+                raise AssertionError("ridge system must be solvable")
+            memo[key] = sol
+        num, den = sol
+        row = [0] * nvars
+        for x, j in zip(num, face):
+            row[var_of_id[j]] += x
+        row[var_of_id[a]] += den - sum(num)
+        row[var_of_id[b]] -= den
+        if not any(row):
+            continue
+        g = gcd(den, *row)
+        if den < 0:
+            g = -g
+        unique[tuple(x // g for x in row), den // g] = None
+    return [tuple(Fraction(x, den) for x in row) for row, den in unique]
+
+
 def falsify(P, k):
     """Search for a destabilizing convex PL function on kP by exact LP.
 
@@ -881,41 +939,16 @@ def falsify(P, k):
             row[var_of[v]] += w
         return row
 
-    rows, rhs = [], []
+    rows = _fold_rows(carrier, [var_of[v] for v in carrier.points], nvars)
+    rhs = [Fraction(0)] * len(rows)
 
     def add_le(row, b):
         if all(x == 0 for x in row):
-            assert b >= 0
+            if b < 0:
+                raise AssertionError("an empty constraint row with a negative bound")
             return
         rows.append(tuple(row))
         rhs.append(b)
-
-    # folds: linear extension across every interior ridge underestimates f;
-    # ridges and their opposite vertices are point ids of the carrier
-    points = carrier.points
-    var_of_id = [var_of[v] for v in points]
-    census = {}
-    for cell in carrier.cells:
-        for i in range(len(cell)):
-            census.setdefault(cell[:i] + cell[i + 1 :], []).append(cell[i])
-    for face, owners in census.items():
-        if len(owners) != 2:
-            continue
-        a, b = owners
-        # [face pts | a] is an affine basis (it spans simplex A), so the
-        # square homogenized system below is always nonsingular
-        cols = [points[j] for j in face + (a,)]
-        mat = [[c[i] for c in cols] for i in range(n)]
-        mat.append([1] * len(cols))
-        target = list(points[b]) + [1]
-        sol = solve_rational(mat, target)
-        assert sol is not None, "ridge system must be solvable"
-        # b = sum alpha_r r + beta a; convexity: sum alpha f(r) + beta f(a) <= f(b)
-        row = [Fraction(0)] * nvars
-        for coeff, j in zip(sol, face + (a,)):
-            row[var_of_id[j]] += coeff
-        row[var_of_id[b]] -= 1
-        add_le(row, Fraction(0))
 
     # box 0 <= f <= 1 (lower bound is native to the solver)
     for j in range(nvars):
@@ -933,9 +966,11 @@ def falsify(P, k):
     vol_weight = [0] * nvars
     for v, w in _vertex_weights(carrier).items():
         vol_weight[var_of[v]] += w
+    # each point's carrier weights, located once for the objective and the values
+    where = [locate(p) for p in pts]
     hits = [0] * nvars
-    for p in pts:
-        for v, w in locate(p):
+    for weights in where:
+        for v, w in weights:
             hits[var_of[v]] += w
     vol_den = volume(P) * k**n * _factorial(n + 1)
     objective = [w / vol_den - Fraction(h) / chi for w, h in zip(vol_weight, hits)]
@@ -949,8 +984,8 @@ def falsify(P, k):
     if value <= 0:
         return None
     values = {}
-    for p in pts:
-        values[p] = sum(w * x[var_of[v]] for v, w in locate(p))
+    for p, weights in zip(pts, where):
+        values[p] = sum(w * x[var_of[v]] for v, w in weights)
     fn = PLFunction(
         values=values,
         carrier=carrier,

@@ -91,7 +91,8 @@ def automorphisms(P):
     q = _gram_form(P)
 
     base = [verts[i] for i in independent_rows(verts)]
-    assert len(base) == n, "vertices of a full-dimensional 0-interior polytope span"
+    if len(base) != n:
+        raise AssertionError("vertices of a full-dimensional 0-interior polytope span")
 
     # columns of the base matrix are the base vertices
     base_mat = [list(col) for col in zip(*base)]

@@ -52,15 +52,13 @@ from .geometry import (
     facet_polytope,
     boundary_volume,
     lattice_points,
-    convex_hull,
+    hull_facets,
     _factorial,
 )
 from .linalg import (
-    dot,
     vec_sub,
     vec_add,
     det_int,
-    cross_normal,
     integer_root,
     independent_rows,
     primitive,
@@ -877,6 +875,26 @@ def _bipyramid_exclusions(Q, tris):
     return out
 
 
+def _bipyramid_cycles(P):
+    """The equator cycles (p, excl, q) of full_triangulation's bipyramid over
+    the double cone P = D(Q) of a polygon Q, lifted to height 0.
+
+    One cycle per triangle of polygon_unimodular_triangulation(Q), with the
+    vertex _bipyramid_exclusions picks in the middle.  Both depend on Q
+    alone, so they are built once per double cone and kept on P beside its
+    level-1 boundary.
+    """
+    if P._bipyramid_cycles is None:
+        Q = P._provenance[1][0]
+        tris = [tuple(t) for t in polygon_unimodular_triangulation(Q)]
+        cycles = []
+        for tri, excl in zip(tris, _bipyramid_exclusions(Q, tris)):
+            p, q = sorted(v for v in tri if v != excl)
+            cycles.append((p + (0,), excl + (0,), q + (0,)))
+        P._bipyramid_cycles = tuple(cycles)
+    return P._bipyramid_cycles
+
+
 def full_triangulation(P, k):
     """Unimodular triangulation of kP whose incidence profile feeds the
     sufficient stability criterion.
@@ -894,20 +912,12 @@ def full_triangulation(P, k):
     blocks = []
     prov = P._provenance
     if prov is not None and prov[0] == "double_cone" and prov[1][0].dim == 2:
-        Q = prov[1][0]
-        apex_up = (0, 0, 1)
-        apex_dn = (0, 0, -1)
-        tris = [tuple(t) for t in polygon_unimodular_triangulation(Q)]
-        excluded = _bipyramid_exclusions(Q, tris)
-        for tri, excl in zip(tris, excluded):
-            rest = sorted(v for v in tri if v != excl)
-            cycle2d = [rest[0], excl, rest[1]]
-            lifted = [v + (0,) for v in cycle2d]
-            for apex in (apex_up, apex_dn):
+        for cycle in _bipyramid_cycles(P):
+            for apex in ((0, 0, 1), (0, 0, -1)):
                 # cycle (apex, p, excl, q): the apex is adjacent to p and q,
                 # so dilated edges [apex, p], [apex, q] meet only 4 cells of
                 # this refinement; excl sits opposite the apex
-                blocks.append(_alcove_block([apex] + lifted, k))
+                blocks.append(_alcove_block([apex, *cycle], k))
         return Triangulation.from_blocks(n, blocks, strategy="bipyramid-refined")
     for facet, cells, _ in level1_boundary(P):
         for cell in cells:
@@ -920,31 +930,26 @@ def delaunay_triangulation(points):
 
     Points are lifted to the paraboloid and the lower hull is projected;
     cocircular cells are split deterministically by the insertion order of
-    the exact hull.
+    the exact hull.  A raw hull facet is lower when its inward normal has a
+    positive last coordinate; such a facet is no vertical hyperplane, so its
+    projection is a full-dimensional cell.  When the points are exactly
+    n + 1 affinely independent ones, their simplex is the triangulation
+    (the lifted points then span no full-dimensional hull).
     """
     pts = sorted(set(tuple(p) for p in points))
     n = len(pts[0])
     if n == 1:
         cells = [(i, i + 1) for i in range(len(pts) - 1)]
         return Triangulation.from_blocks(1, [(pts, cells)], strategy="delaunay")
+    if len(pts) == n + 1 and det_int([vec_sub(q, pts[0]) for q in pts[1:]]):
+        return Triangulation.from_blocks(n, [(pts, [tuple(range(n + 1))])], strategy="delaunay")
     lifted = [p + (sum(x * x for x in p),) for p in pts]
     index = {q: i for i, q in enumerate(lifted)}
-    verts, facets, raw = convex_hull(lifted)
-    # the interior point is inside_sum / len(lifted); the side test stays in ints
-    inside_sum = tuple(sum(c) for c in zip(*lifted))
-    cells = []
-    for simplex in raw:
-        edges = [vec_sub(q, simplex[0]) for q in simplex[1:]]
-        normal = cross_normal(edges)
-        side = dot(normal, inside_sum) - len(lifted) * dot(normal, simplex[0])
-        if side < 0:
-            normal = tuple(-c for c in normal)
-        if normal[-1] <= 0:
-            continue
-        cell = [p[:-1] for p in simplex]
-        if abs(det_int([vec_sub(q, cell[0]) for q in cell[1:]])) == 0:
-            continue
-        cells.append(tuple(index[q] for q in simplex))
+    cells = [
+        tuple(index[q] for q in raw.verts)
+        for raw in hull_facets(lifted)
+        if raw.normal[-1] > 0
+    ]
     return Triangulation.from_blocks(n, [(pts, cells)], strategy="delaunay")
 
 

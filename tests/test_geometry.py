@@ -1,6 +1,6 @@
 import copy
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -451,3 +451,91 @@ def test_constructors_run_no_rank_elimination(monkeypatch):
     monkeypatch.undo()
     for R in built:
         assert_derivation_holds(R)
+
+
+def _hull_by_full_scan(points):
+    """convex_hull with each point's visible facets found by scanning every
+    facet, kept as the oracle for the ridge-map search."""
+    from chowtool.geometry import _affine_basis, _facet_from_points
+    from chowtool.linalg import dot, rank_rational
+
+    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    n = len(pts[0])
+    simplex = [pts[i] for i in _affine_basis(pts)]
+    inside_sum = tuple(sum(c) for c in zip(*simplex))
+    facets_ = {}
+    ridge_map = {}
+    ids = count()
+
+    def ridges(raw):
+        return [raw.verts[:i] + raw.verts[i + 1 :] for i in range(len(raw.verts))]
+
+    def add(raw):
+        fid = next(ids)
+        facets_[fid] = raw
+        for r in ridges(raw):
+            ridge_map.setdefault(r, set()).add(fid)
+
+    for i in range(n + 1):
+        add(_facet_from_points(simplex[:i] + simplex[i + 1 :], inside_sum, n + 1))
+    for p in pts:
+        if p in simplex:
+            continue
+        visible = {fid for fid, f in facets_.items() if dot(f.normal, p) < f.h}
+        horizon = [
+            r for fid in visible for r in ridges(facets_[fid]) if ridge_map[r] - visible
+        ]
+        for fid in visible:
+            for r in ridges(facets_.pop(fid)):
+                ridge_map[r].discard(fid)
+                if not ridge_map[r]:
+                    del ridge_map[r]
+        for r in horizon:
+            add(_facet_from_points(list(r) + [p], inside_sum, n + 1))
+    assert all(len(owners) == 2 for owners in ridge_map.values())
+    merged = {}
+    for raw in facets_.values():
+        merged.setdefault((raw.normal, raw.h), set()).update(raw.verts)
+    candidates = sorted(set().union(*merged.values()))
+    true_vertices = [
+        v
+        for v in candidates
+        if rank_rational([nm for (nm, h) in merged if dot(nm, v) == h]) == n
+    ]
+    facet_list = [
+        Facet(normal=nm, offset=-h, vertices=tuple(v for v in true_vertices if dot(nm, v) == h))
+        for (nm, h) in sorted(merged)
+    ]
+    return true_vertices, facet_list, sorted(raw.verts for raw in facets_.values())
+
+
+@st.composite
+def _point_clouds(draw):
+    d = draw(st.integers(2, 4))
+    coord = st.integers(-3, 3)
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=22, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_clouds())
+def test_hull_visibility_search_matches_full_scan(points):
+    try:
+        want = _hull_by_full_scan(points)
+    except NotFullDimensional:
+        with pytest.raises(NotFullDimensional):
+            convex_hull(points)
+        return
+    assert convex_hull(points) == want
+
+
+@pytest.mark.parametrize(
+    "name, k", [("X9", 3), ("X6", 4), ("P3_blowup4", 2), ("D_X8", 2), ("cuboctahedron", 1)]
+)
+def test_hull_of_lifted_lattice_points_matches_full_scan(name, k):
+    # the paraboloid lift of a dilation puts every lattice point on the hull,
+    # as delaunay_triangulation does
+    pts = lattice_points(catalog.get(name).polytope, k)
+    lifted = [p + (sum(x * x for x in p),) for p in pts]
+    got = convex_hull(lifted)
+    assert got == _hull_by_full_scan(lifted)
+    assert {raw.verts for raw in geometry.hull_facets(sorted(lifted))} == set(got[2])

@@ -3,6 +3,7 @@ from itertools import product as iproduct
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowtool.errors import CoverageError, NonIntegralCut, NoTriangulation
 from chowtool.geometry import (
@@ -460,3 +461,127 @@ def test_certificate_rechecks_survive_optimized_mode():
         "lp refused: LP certificate failed exact re-evaluation",
         "affine-fo refused: affine-FO certificate failed re-evaluation",
     ]
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [[(0, 0), (1, 0), (0, 1)], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]],
+    ids=["triangle", "tetrahedron"],
+)
+def test_classify_unit_simplex_reaches_a_verdict(verts):
+    # its lattice points are the d + 1 vertices, so the falsifier's Delaunay
+    # carrier is the simplex itself
+    n = len(verts[0])
+    verdict = classify(Polytope(verts))
+    assert verdict.status == INCONCLUSIVE
+    check = verdict.check("falsifier")
+    assert not check.passed
+    assert check.detail == f"LP optimum nonpositive for k = 1..{min(n + 1, 4)} (sound, not complete)"
+
+
+def _fold_rows_by_ridge(carrier, var_of_id, nvars):
+    """The oracle for _fold_rows: one Fraction solve of the homogenized
+    system per interior ridge, and the rows deduplicated as Fractions."""
+    from chowtool.linalg import solve_rational
+
+    points = carrier.points
+    n = len(points[0])
+    census = {}
+    for cell in carrier.cells:
+        for i in range(len(cell)):
+            census.setdefault(cell[:i] + cell[i + 1 :], []).append(cell[i])
+    rows = []
+    for face, owners in census.items():
+        if len(owners) != 2:
+            continue
+        a, b = owners
+        cols = [points[j] for j in face + (a,)]
+        mat = [[c[i] for c in cols] for i in range(n)] + [[1] * len(cols)]
+        sol = solve_rational(mat, list(points[b]) + [1])
+        row = [Fraction(0)] * nvars
+        for coeff, j in zip(sol, face + (a,)):
+            row[var_of_id[j]] += coeff
+        row[var_of_id[b]] -= 1
+        if any(row):
+            rows.append(tuple(row))
+    return list(dict.fromkeys(rows))
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("P3_blowup4", 1), ("P3_blowup4", 2), ("cube5_doublecone", 1), ("cube6_doublecone", 1)],
+)
+def test_memoised_fold_rows_match_per_ridge_solves(name, k, monkeypatch):
+    from chowtool import catalog, stability
+
+    seen = []
+    real = stability._fold_rows
+
+    def recorded(carrier, var_of_id, nvars):
+        seen.append((carrier, var_of_id, nvars))
+        return real(carrier, var_of_id, nvars)
+
+    monkeypatch.setattr(stability, "_fold_rows", recorded)
+    falsify(catalog.get(name).polytope, k)
+    (carrier, var_of_id, nvars), = seen
+    got = real(carrier, var_of_id, nvars)
+    assert got == _fold_rows_by_ridge(carrier, var_of_id, nvars)
+    assert all(type(x) is Fraction for row in got for x in row)
+    # without the orbit identification every ridge row stays its own
+    ids = list(range(len(carrier.points)))
+    assert real(carrier, ids, len(ids)) == _fold_rows_by_ridge(carrier, ids, len(ids))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 2, max_size=14, unique=True
+        )
+    )
+)
+def test_fold_rows_match_per_ridge_solves_on_delaunay_carriers(pts):
+    # irregular carriers, where one cell shape and ridge meet several
+    # opposite vertices
+    from chowtool import stability
+    from chowtool.errors import NotFullDimensional
+
+    try:
+        carrier = delaunay_triangulation(pts)
+    except NotFullDimensional:
+        return
+    ids = list(range(len(carrier.points)))
+    assert stability._fold_rows(carrier, ids, len(ids)) == _fold_rows_by_ridge(carrier, ids, len(ids))
+
+
+def test_fold_rows_solve_once_per_ridge_shape(monkeypatch):
+    from chowtool import catalog, stability
+
+    solves = []
+    real = stability.solve_int
+
+    def counted(matrix, rhs):
+        solves.append((tuple(map(tuple, matrix)), tuple(rhs)))
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(stability, "solve_int", counted)
+    carrier, _ = stability.bipyramid_carrier(cube(6))
+    ids = list(range(len(carrier.points)))
+    stability._fold_rows(carrier, ids, len(ids))
+    interior = sum(1 for c in carrier.ridge_counts().values() if c == 2)
+    # each system is solved once, and 4,320 ridges come in a few dozen shapes
+    assert interior == 4320
+    assert len(solves) == len(set(solves)) < interior // 50
+
+
+def test_falsifier_invariants_raise_without_asserts():
+    # explicit raises, so python -O keeps them
+    from chowtool import stability
+
+    _, locate = stability.bipyramid_carrier(cube(3))
+    with pytest.raises(AssertionError, match="only serves k = 1"):
+        locate((0, 0, 0, 2))
+    # the ridge (0, 0)-(1, 0) has the collinear cell, which sorts first, on one side
+    flat = Triangulation.from_blocks(2, [([(-1, 0), (0, 0), (0, 1), (1, 0)], [(0, 1, 3), (1, 2, 3)])])
+    with pytest.raises(AssertionError, match="ridge system must be solvable"):
+        stability._fold_rows(flat, [0, 1, 2, 3], 4)

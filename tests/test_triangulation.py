@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowtool import catalog, triangulation
-from chowtool.errors import DegenerateSimplex, NotReflexive, NoStrategy
+from chowtool.errors import DegenerateSimplex, NotFullDimensional, NotReflexive, NoStrategy
 from chowtool.geometry import (
     Polytope,
     boundary_volume,
@@ -856,3 +856,36 @@ def test_classify_builds_no_lattice_simplex(monkeypatch, name):
     monkeypatch.setattr(triangulation, "LatticeSimplex", Refused)
     monkeypatch.setattr(stability, "LatticeSimplex", Refused)
     assert stability.classify(P).status == stability.POLYSTABLE
+
+
+@pytest.mark.parametrize("name", ["D_X3", "D_X4", "D_X6", "D_X8", "D_X9"])
+def test_bipyramid_base_is_built_once_per_double_cone(name, monkeypatch):
+    Q = catalog.get(name).polytope._provenance[1][0]
+    D = double_cone(Q)  # fresh, so nothing is memoised on it yet
+    oracle = {k: _full_by_simplices(D, k) for k in range(1, 5)}
+    calls = Counter()
+
+    def counted(fn):
+        def inner(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return inner
+
+    for fn in (polygon_unimodular_triangulation, triangulation._bipyramid_exclusions):
+        monkeypatch.setattr(triangulation, fn.__name__, counted(fn))
+    for k in range(1, 5):
+        T = full_triangulation(D, k)
+        assert T.strategy == "bipyramid-refined"
+        assert [s.vertices for s in T.simplices] == [s.vertices for s in oracle[k]]
+    assert calls == {"polygon_unimodular_triangulation": 1, "_bipyramid_exclusions": 1}
+
+
+def test_delaunay_of_a_single_simplex_is_that_simplex():
+    for verts in ([(0, 0), (1, 0), (0, 1)], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        T = delaunay_triangulation(verts)
+        assert T.points == tuple(sorted(verts))
+        assert T.cells == (tuple(range(len(verts))),)
+    # n + 1 affinely dependent points still span no triangulation
+    with pytest.raises(NotFullDimensional):
+        delaunay_triangulation([(0, 0), (1, 1), (2, 2)])
