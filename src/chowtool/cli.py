@@ -224,7 +224,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kmax_default=None):
+    def common(p):
         p.add_argument("input", help="polytope JSON file or catalog name")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -276,6 +276,8 @@ def main(argv=None):
     try:
         if hasattr(args, "kmax") and args.kmax is not None and args.kmax < 1:
             raise ParseError("--kmax must be >= 1")
+        if hasattr(args, "k") and args.k < 1:
+            raise ParseError("--k must be >= 1")
         status = args.func(args)
         sys.stdout.flush()
         return status

@@ -123,9 +123,10 @@ class StabilityVerdict:
 class Certificate:
     """A destabilizing witness: a convex PL function with negative gap.
 
-    gap is recomputed through chow_gap on construction whenever a carrier is
-    available, so the certificate re-evaluates independently of the code
-    path that produced it.
+    verify(P) is the one re-check of every certificate: each producer builds
+    its certificate as Certificate(...).verify(P), so the gap is negative
+    and, whenever a function is carried, re-evaluates through chow_gap
+    independently of the code path that produced it.
     """
 
     kind: str  # "cap", "vertex-cap", "affine-fo", "lp"
@@ -133,6 +134,16 @@ class Certificate:
     gap: Fraction
     function: object = None  # PLFunction, may be None when only analytic
     detail: str = ""
+
+    def verify(self, P):
+        """Require gap < 0 and, when a function is carried, chow_gap(P, k,
+        function) == gap; return self.  Explicit raises, so python -O keeps
+        the checks."""
+        if self.gap >= 0:
+            raise AssertionError(f"{self.kind} certificate gap {self.gap} is not negative")
+        if self.function is not None and chow_gap(P, self.k, self.function) != self.gap:
+            raise AssertionError(f"{self.kind} certificate failed re-evaluation")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +163,6 @@ class PLFunction:
 
     values: dict
     carrier: Triangulation
-    convex: bool = None  # True when known convex (by folds or by construction)
-    description: str = ""
 
     def __call__(self, point):
         return self.values[tuple(point)]
@@ -206,12 +215,7 @@ def affine_pl_function(P, k, a, sign=1):
     values = {}
     for p in lattice_points(P, k):
         values[p] = sign * a(tuple(Fraction(x, k) for x in p))
-    return PLFunction(
-        values=values,
-        carrier=carrier,
-        convex=True,
-        description=f"affine functional scaled to kP (sign {sign})",
-    )
+    return PLFunction(values=values, carrier=carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +323,18 @@ def _cap_function(D):
     values = {}
     for p in lattice_points(D, 1):
         values[p] = Fraction(abs(p[-1]))
-    return PLFunction(
-        values=values,
-        carrier=carrier,
-        convex=True,
-        description="double-cone cap (max of two affine functions)",
-    )
+    return PLFunction(values=values, carrier=carrier)
 
 
-def _cap_gap_analytic(D, k, total_weight, cap_integral):
-    """gap = total_weight/chi(kD) - cap_integral / Vol(kD)."""
-    chi = count(D, k)
-    vol = volume(D) * Fraction(k) ** D.dim
-    return Fraction(total_weight) / chi - cap_integral / vol
+def _first_negative_cap_gap(P, total_weight, cap_integral):
+    """(k, gap) at the first k = 1..16 where the analytic cap gap
+    total_weight / chi(kP) - cap_integral / Vol(kP) is negative."""
+    vol = volume(P)
+    for k in range(1, 17):
+        gap = Fraction(total_weight, count(P, k)) - cap_integral / (vol * Fraction(k) ** P.dim)
+        if gap < 0:
+            return k, gap
+    raise AssertionError("cap gap stays nonnegative for k = 1..16")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +342,7 @@ def _cap_gap_analytic(D, k, total_weight, cap_integral):
 # ---------------------------------------------------------------------------
 
 
-def double_cone_instability(Q, k_scan=16):
+def double_cone_instability(Q):
     """Volume criterion for the double cone: Vol(Q) >= (n+1)(n+2) makes D(Q)
     not semistable, witnessed by the cap function.
 
@@ -349,10 +352,10 @@ def double_cone_instability(Q, k_scan=16):
     chi(kD) exceeds Vol(kD) strictly; flagged in the check trail).
     """
     D = double_cone(Q, name=f"D({Q.name})" if Q.name else None)
-    return _double_cone_verdict(D, k_scan)
+    return _double_cone_verdict(D)
 
 
-def _double_cone_verdict(D, k_scan=16):
+def _double_cone_verdict(D):
     """double_cone_instability on an already built double cone D = D(Q),
     with Q read from D's provenance, so each fact of D is computed once."""
     Q = D._provenance[1][0]
@@ -374,26 +377,20 @@ def _double_cone_verdict(D, k_scan=16):
             status=INCONCLUSIVE, checks=checks, polytope_name=D.name
         )
     cap_integral = 2 * vol_q / Fraction((n + 1) * (n + 2))
-    found_k = None
-    gap = None
-    for k in range(1, k_scan + 1):
-        gap = _cap_gap_analytic(D, k, 2, cap_integral)
-        if gap < 0:
-            found_k = k
-            break
-    assert found_k is not None, "cap gap must turn negative at small k here"
-    cert_fn = None
-    if found_k == 1:
-        cert_fn = _cap_function(D)
-        recomputed = chow_gap(D, 1, cert_fn)
-        if recomputed != gap:
-            raise AssertionError("cap certificate failed re-evaluation")
+    k, gap = _first_negative_cap_gap(D, 2, cap_integral)
+    certificate = Certificate(
+        kind="cap",
+        k=k,
+        gap=gap,
+        function=_cap_function(D) if k == 1 else None,
+        detail="two-sided cap over the apexes",
+    ).verify(D)
     checks.append(
         Check.make(
             "cap gap scan",
             True,
-            detail=f"first negative chow gap at k = {found_k}: {gap}",
-            k=found_k,
+            detail=f"first negative chow gap at k = {k}: {gap}",
+            k=k,
             gap=gap,
             cap_integral_both_sides=cap_integral,
         )
@@ -401,13 +398,7 @@ def _double_cone_verdict(D, k_scan=16):
     return StabilityVerdict(
         status=NOT_SEMISTABLE,
         checks=checks,
-        certificate=Certificate(
-            kind="cap",
-            k=found_k,
-            gap=gap,
-            function=cert_fn,
-            detail="two-sided cap over the apexes",
-        ),
+        certificate=certificate,
         polytope_name=D.name,
     )
 
@@ -470,39 +461,27 @@ def vertex_cap_instability(P, v):
             status=INCONCLUSIVE, checks=checks, polytope_name=P.name
         )
     cap_integral = relvol / Fraction(d * (d + 1))
-    found_k, gap = None, None
-    for k in range(1, 17):
-        chi = count(P, k)
-        vol = volume(P) * Fraction(k) ** d
-        gap = Fraction(1, chi) - cap_integral / vol
-        if gap < 0:
-            found_k = k
-            break
-    assert found_k is not None
-    cert_fn = _vertex_cap_function(P, v, u, found_k)
-    if cert_fn is not None:
-        recomputed = chow_gap(P, found_k, cert_fn)
-        if recomputed != gap:
-            raise AssertionError("vertex-cap certificate failed re-evaluation")
+    k, gap = _first_negative_cap_gap(P, 1, cap_integral)
+    certificate = Certificate(
+        kind="vertex-cap",
+        k=k,
+        gap=gap,
+        function=_vertex_cap_function(P, v, u, k),
+        detail=f"unit cap at vertex {v} (marked informal criterion)",
+    ).verify(P)
     checks.append(
         Check.make(
             "vertex-cap gap scan",
             True,
-            detail=f"first negative chow gap at k = {found_k}: {gap}",
-            k=found_k,
+            detail=f"first negative chow gap at k = {k}: {gap}",
+            k=k,
             gap=gap,
         )
     )
     return StabilityVerdict(
         status=NOT_SEMISTABLE,
         checks=checks,
-        certificate=Certificate(
-            kind="vertex-cap",
-            k=found_k,
-            gap=gap,
-            function=cert_fn,
-            detail=f"unit cap at vertex {v} (marked informal criterion)",
-        ),
+        certificate=certificate,
         polytope_name=P.name,
     )
 
@@ -548,12 +527,7 @@ def _vertex_cap_function(P, v, u, k):
     values = {}
     for p in lattice_points(P, k):
         values[p] = Fraction(max(0, dot(u, p) - cut))
-    return PLFunction(
-        values=values,
-        carrier=carrier,
-        convex=True,
-        description=f"unit cap at vertex {v}, dilation {k}",
-    )
+    return PLFunction(values=values, carrier=carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +536,7 @@ def _vertex_cap_function(P, v, u, k):
 
 
 def _weak_symmetry_check(P):
-    """(check, witness_or_None, skipped) honoring the enumeration budget.
+    """(check, witness_or_None) honoring the enumeration budget.
 
     Symmetric polytopes short-circuit: FO is invariant under composing the
     functional with a lattice automorphism, so FO(a, k) equals FO of the
@@ -594,7 +568,6 @@ def _run_weak_symmetry_check(P):
                     ),
                 ),
                 None,
-                False,
             )
     est = volume(P) * Fraction(n + 3) ** n
     if est > _WEAK_SYMMETRY_POINT_BUDGET:
@@ -606,7 +579,6 @@ def _run_weak_symmetry_check(P):
                 estimated_points=est,
             ),
             None,
-            True,
         )
     ok, evidence = is_weakly_symmetric(P)
     if ok:
@@ -622,13 +594,21 @@ def _run_weak_symmetry_check(P):
                 out_of_sample_ok=extra,
             ),
             None,
-            False,
         )
     return (
         Check.make("weakly symmetric", False, detail=evidence.describe()),
         evidence,
-        False,
     )
+
+
+def _k_max(P, k_max):
+    """The dilation bound of the polystability checks: k_max, by default
+    min(n + 1, 4); ValueError below 1."""
+    if k_max is None:
+        return min(P.dim + 1, 4)
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    return k_max
 
 
 def check_special(P, k_max=None):
@@ -641,14 +621,13 @@ def check_special(P, k_max=None):
     extends to every k (the per-k maxima are recorded to witness stability).
     """
     n = P.dim
-    if k_max is None:
-        k_max = min(n + 1, 4)
+    k_max = _k_max(P, k_max)
     checks = []
     refl = is_reflexive(P)
     checks.append(Check.make("reflexive", refl, detail="all facet offsets equal 1" if refl else "some facet offset differs from 1"))
     if not refl:
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-    ws_check, witness, skipped = _weak_symmetry_check(P)
+    ws_check, _ = _weak_symmetry_check(P)
     checks.append(ws_check)
     if not ws_check.passed:
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
@@ -726,8 +705,7 @@ def check_sufficient(P, k_max=None):
     all k; per-k worst margins are recorded.
     """
     n = P.dim
-    if k_max is None:
-        k_max = min(n + 1, 4)
+    k_max = _k_max(P, k_max)
     checks = []
     if not all(f.offset >= 1 for f in P.facets):
         checks.append(
@@ -735,7 +713,7 @@ def check_sufficient(P, k_max=None):
         )
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     checks.append(Check.make("origin interior", True))
-    ws_check, witness, skipped = _weak_symmetry_check(P)
+    ws_check, _ = _weak_symmetry_check(P)
     checks.append(ws_check)
     if not ws_check.passed:
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
@@ -986,16 +964,8 @@ def falsify(P, k):
     values = {}
     for p, weights in zip(pts, where):
         values[p] = sum(w * x[var_of[v]] for v, w in weights)
-    fn = PLFunction(
-        values=values,
-        carrier=carrier,
-        convex=True,
-        description="LP optimum over fold-convex orbit-constant PL functions",
-    )
-    gap = chow_gap(P, k, fn)
-    if gap != -value:
-        raise AssertionError("LP certificate failed exact re-evaluation")
-    return Certificate(kind="lp", k=k, gap=gap, function=fn, detail="falsifier optimum")
+    fn = PLFunction(values=values, carrier=carrier)
+    return Certificate(kind="lp", k=k, gap=-value, function=fn, detail="falsifier optimum").verify(P)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,8 +1030,7 @@ def classify(P, k_max=None):
     The first decisive result wins; every attempted check is recorded.
     """
     n = P.dim
-    if k_max is None:
-        k_max = min(n + 1, 4)
+    k_max = _k_max(P, k_max)
     checks = []
 
     if n == 1:
@@ -1136,7 +1105,7 @@ def classify(P, k_max=None):
     if special.status == POLYSTABLE:
         return StabilityVerdict(POLYSTABLE, checks, polytope_name=P.name)
 
-    ws, witness, _ = _weak_symmetry_check(P)
+    ws, witness = _weak_symmetry_check(P)
     if special.check("weakly symmetric") is None:
         # reflexivity failed before check_special reached the FO test; the
         # necessity argument applies to any polytope, so record it here
@@ -1146,12 +1115,13 @@ def classify(P, k_max=None):
         witness_data = ws.detail
         a = AffineFunctional.coordinate(witness.coordinate, n)
         sign = -1 if witness.value > 0 else 1
-        fn = affine_pl_function(P, witness.k, a, sign=sign)
-        gap = chow_gap(P, witness.k, fn)
-        if gap != sign * fo_invariant(P, a, witness.k):
-            raise AssertionError("affine-FO certificate failed re-evaluation")
-        if gap >= 0:
-            raise AssertionError("affine-FO certificate gap is not negative")
+        certificate = Certificate(
+            kind="affine-fo",
+            k=witness.k,
+            gap=sign * fo_invariant(P, a, witness.k),
+            function=affine_pl_function(P, witness.k, a, sign=sign),
+            detail=witness.describe(),
+        ).verify(P)
         checks.append(
             Check.make(
                 "FO necessity",
@@ -1161,20 +1131,11 @@ def classify(P, k_max=None):
                     "the scaled affine functional already has a negative gap"
                 ),
                 witness=witness_data,
-                gap=gap,
+                gap=certificate.gap,
             )
         )
         return StabilityVerdict(
-            NOT_SEMISTABLE,
-            checks,
-            certificate=Certificate(
-                kind="affine-fo",
-                k=witness.k,
-                gap=gap,
-                function=fn,
-                detail=witness.describe(),
-            ),
-            polytope_name=P.name,
+            NOT_SEMISTABLE, checks, certificate=certificate, polytope_name=P.name
         )
 
     sufficient = check_sufficient(P, k_max)

@@ -392,33 +392,17 @@ def standard_simplex_triangulation(n, k):
     return Triangulation.from_blocks(n, [(points, cells)], strategy="alcove")
 
 
-def alcove_refine_dilated_simplex(verts, k):
-    """Alcove cells of k * conv(verts) for a unimodular lattice simplex.
-
-    The cell set is invariant only under dihedral relabelings of the vertex
-    cycle, so the cycle is fixed canonically to the lexicographic vertex
-    order.  Restricting a lex cycle to a subset of vertices again gives the
-    lex cycle, which makes refinements of adjacent simplices agree on their
-    shared faces.
-    """
-    return alcove_refine_cycle(sorted(tuple(v) for v in verts), k)
-
-
-def alcove_refine_cycle(verts, k):
-    """Alcove cells of k * conv(verts) with the vertex cycle given by the
-    caller's order.
-
-    Only safe when every shared face of adjacent simplices has at most
-    three vertices (three-element cycles are all dihedrally equivalent),
-    or when neighbours use the induced order of this cycle.
-    """
-    images, cells = _alcove_block([tuple(v) for v in verts], k)
-    return [make_simplex([images[i] for i in c]) for c in cells]
-
-
 def _alcove_block(verts, k):
     """(images, cells): the alcove pattern of kT_d carried onto
     k * conv(verts), with the vertex cycle in the given order.
+
+    The cell set is invariant only under dihedral relabelings of the vertex
+    cycle.  The lexicographic vertex order is always safe: restricting a
+    lex cycle to a subset of vertices again gives the lex cycle, so
+    refinements of adjacent simplices agree on their shared faces.  Another
+    order is safe only when every shared face has at most three vertices
+    (all three-element cycles are dihedrally equivalent), or when the
+    neighbours use the induced order of this cycle.
 
     images[i] is k*base + sum_j x_j cols[j] for the pattern point x =
     points[i], one column added per step; cells are the pattern's, indices

@@ -93,6 +93,17 @@ def test_falsify_command(capsys):
     assert "no violation" in out
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv", [["falsify", "X6"], ["triangulate", "X6", "--boundary"]], ids=["falsify", "triangulate"]
+)
+def test_dilation_below_one_is_an_input_error(argv, k, capsys):
+    code, out, err = run(capsys, *argv, "--k", k)
+    assert code == 1
+    assert err.startswith("error:") and "--k" in err
+    assert "Traceback" not in out + err
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [[0.5, 0]]}')

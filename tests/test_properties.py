@@ -150,7 +150,7 @@ def test_lp_dominates_hand_built_functions(name, k):
     values = {p: Fraction(abs(p[0]) + abs(p[1])) for p in pts}
     top = max(values.values())
     values = {p: v / top for p, v in values.items()}
-    f = PLFunction(values=values, carrier=delaunay_triangulation(pts), convex=True)
+    f = PLFunction(values=values, carrier=delaunay_triangulation(pts))
     gap = chow_gap(P, k, f)
     cert = falsify(P, k)
     optimum = -cert.gap if cert is not None else Fraction(0)

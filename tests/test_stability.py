@@ -18,6 +18,7 @@ from chowtool.linalg import det_int
 from chowtool.symmetry import AffineFunctional, fo_invariant
 from chowtool.triangulation import delaunay_triangulation, Triangulation, make_simplex
 from chowtool.stability import (
+    Certificate,
     PLFunction,
     chow_gap,
     affine_pl_function,
@@ -54,7 +55,7 @@ def abs_x1_function(P, k):
     pts = lattice_points(P, k)
     values = {p: Fraction(abs(p[0])) for p in pts}
     carrier = delaunay_triangulation(pts)
-    return PLFunction(values=values, carrier=carrier, convex=True)
+    return PLFunction(values=values, carrier=carrier)
 
 
 def test_chow_gap_abs_x1_on_square():
@@ -458,9 +459,127 @@ def test_certificate_rechecks_survive_optimized_mode():
     assert out.stdout.splitlines() == [
         "cap refused: cap certificate failed re-evaluation",
         "vertex-cap refused: vertex-cap certificate failed re-evaluation",
-        "lp refused: LP certificate failed exact re-evaluation",
-        "affine-fo refused: affine-FO certificate failed re-evaluation",
+        "lp refused: lp certificate failed re-evaluation",
+        "affine-fo refused: affine-fo certificate failed re-evaluation",
     ]
+
+
+_KINDS = ("cap", "vertex-cap", "affine-fo", "lp")
+
+
+@pytest.mark.parametrize("gap", [Fraction(0), Fraction(1, 6)])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_verify_refuses_a_nonnegative_gap(kind, gap):
+    # with and without a function; |x_1| on the square re-evaluates to 1/6
+    for function in (None, abs_x1_function(X8, 1)):
+        cert = Certificate(kind=kind, k=1, gap=gap, function=function)
+        with pytest.raises(AssertionError, match=f"^{kind} certificate gap {gap} is not negative$"):
+            cert.verify(X8)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_verify_refuses_a_gap_that_does_not_re_evaluate(kind):
+    # -|x_1| on the square has chow gap -1/6 exactly
+    f = abs_x1_function(X8, 1)
+    f.values = {p: -v for p, v in f.values.items()}
+    cert = Certificate(kind=kind, k=1, gap=Fraction(-1, 6), function=f)
+    assert cert.verify(X8) is cert
+    for wrong in (Fraction(-1, 5), Fraction(-1, 7)):
+        with pytest.raises(AssertionError, match=f"^{kind} certificate failed re-evaluation$"):
+            Certificate(kind=kind, k=1, gap=wrong, function=f).verify(X8)
+
+
+def test_each_producer_verifies_its_certificate_once(monkeypatch):
+    import chowtool.stability as stability
+
+    calls = []
+    real = stability.Certificate.verify
+
+    def counted(self, P):
+        calls.append(self.kind)
+        return real(self, P)
+
+    monkeypatch.setattr(stability.Certificate, "verify", counted)
+    apex = (0,) * 6 + (1,)
+    producers = [
+        ("cap", lambda: double_cone_instability(cube(6)).certificate),
+        ("vertex-cap", lambda: vertex_cap_instability(double_cone(cube(6)), apex).certificate),
+        ("lp", lambda: falsify(Q_SKEW, 1)),
+        ("affine-fo", lambda: classify(Polytope(Q_SKEW.vertices)).certificate),
+    ]
+    for kind, produce in producers:
+        calls.clear()
+        assert produce().kind == kind
+        assert calls == [kind]
+
+
+def _double_cone_cap_scan(D, k_scan=16):
+    """The double-cone cap scan as it stood inline, the oracle for
+    _first_negative_cap_gap: (k, gap), or None when no gap is negative."""
+    Q = D._provenance[1][0]
+    n = Q.dim
+    cap_integral = 2 * volume(Q) / Fraction((n + 1) * (n + 2))
+    for k in range(1, k_scan + 1):
+        chi = count(D, k)
+        vol = volume(D) * Fraction(k) ** D.dim
+        gap = Fraction(2) / chi - cap_integral / vol
+        if gap < 0:
+            return k, gap
+    return None
+
+
+def _vertex_cap_scan(P, cap_integral):
+    """The vertex-cap scan as it stood inline, the oracle for
+    _first_negative_cap_gap."""
+    d = P.dim
+    for k in range(1, 17):
+        chi = count(P, k)
+        vol = volume(P) * Fraction(k) ** d
+        gap = Fraction(1, chi) - cap_integral / vol
+        if gap < 0:
+            return k, gap
+    return None
+
+
+@pytest.mark.parametrize(
+    "Q",
+    [cube(6), cube(7), Polytope([(-3,), (3,)])],
+    ids=["cube6", "cube7", "segment-boundary-case"],
+)
+def test_first_negative_cap_gap_matches_the_double_cone_scan(Q):
+    from chowtool.stability import _first_negative_cap_gap
+
+    D = double_cone(Q)
+    n = Q.dim
+    want = _double_cone_cap_scan(D)
+    assert want is not None
+    cap_integral = 2 * volume(Q) / Fraction((n + 1) * (n + 2))
+    assert _first_negative_cap_gap(D, 2, cap_integral) == want
+    verdict = double_cone_instability(Q)
+    assert (verdict.certificate.k, verdict.certificate.gap) == want
+
+
+def test_first_negative_cap_gap_matches_the_vertex_cap_scan():
+    from chowtool.stability import _first_negative_cap_gap
+
+    # the apex of D(cube6): relative base volume 64 against d(d+1) = 56
+    D = double_cone(cube(6))
+    verdict = vertex_cap_instability(D, (0,) * 6 + (1,))
+    relvol = Fraction(dict(verdict.checks[0].data)["base_relative_volume"])
+    cap_integral = relvol / Fraction(7 * 8)
+    want = _vertex_cap_scan(D, cap_integral)
+    assert want is not None
+    assert _first_negative_cap_gap(D, 1, cap_integral) == want
+    assert (verdict.certificate.k, verdict.certificate.gap) == want
+
+
+def test_first_negative_cap_gap_raises_without_a_negative_gap():
+    from chowtool.stability import _first_negative_cap_gap
+
+    # a cap of integral 0 leaves every gap positive
+    assert _vertex_cap_scan(X8, Fraction(0)) is None
+    with pytest.raises(AssertionError, match="cap gap stays nonnegative"):
+        _first_negative_cap_gap(X8, 1, Fraction(0))
 
 
 @pytest.mark.parametrize(
@@ -585,3 +704,15 @@ def test_falsifier_invariants_raise_without_asserts():
     flat = Triangulation.from_blocks(2, [([(-1, 0), (0, 0), (0, 1), (1, 0)], [(0, 1, 3), (1, 2, 3)])])
     with pytest.raises(AssertionError, match="ridge system must be solvable"):
         stability._fold_rows(flat, [0, 1, 2, 3], 4)
+
+
+@pytest.mark.parametrize("k_max", [0, -2])
+@pytest.mark.parametrize("entry", [classify, check_special, check_sufficient])
+def test_k_max_below_one_is_refused(entry, k_max):
+    from chowtool import catalog
+
+    # X6 would end polystable with no dilation checked; P3_blowup4 would
+    # reach check_sufficient's worst margin with none recorded
+    for P in (catalog.get("X6").polytope, catalog.get("P3_blowup4").polytope, SEG):
+        with pytest.raises(ValueError, match="^k_max must be >= 1$"):
+            entry(P, k_max=k_max)

@@ -29,8 +29,6 @@ from chowtool.triangulation import (
     make_simplex,
     staircase_chain,
     standard_simplex_triangulation,
-    alcove_refine_cycle,
-    alcove_refine_dilated_simplex,
     boundary_triangulation,
     cone_over_boundary,
     full_triangulation,
@@ -116,9 +114,14 @@ def test_alcove_single_run_matches_stated_formula():
     assert found > 100
 
 
+def _alcove_cells(verts, k):
+    images, cells = triangulation._alcove_block([tuple(v) for v in verts], k)
+    return [make_simplex([images[i] for i in c]) for c in cells]
+
+
 def test_refine_matches_standard():
     base = [(0, 0), (1, 0), (0, 1)]
-    cells = alcove_refine_dilated_simplex(base, 3)
+    cells = _alcove_cells(sorted(base), 3)
     T = standard_simplex_triangulation(2, 3)
     assert sorted(c.vertices for c in cells) == [s.vertices for s in T.simplices]
 
@@ -340,8 +343,6 @@ def _random_unimodular_simplex(rng, d, n):
 def test_alcove_refine_cycle_matches_per_point_oracle():
     from random import Random
 
-    from chowtool.triangulation import alcove_refine_cycle
-
     rng = Random(20)
     for d in range(1, 5):
         for k in range(1, 5):
@@ -349,7 +350,7 @@ def test_alcove_refine_cycle_matches_per_point_oracle():
                 for _ in range(3):
                     verts = _random_unimodular_simplex(rng, d, n)
                     assert make_simplex(verts).is_unimodular()
-                    got = alcove_refine_cycle(verts, k)
+                    got = _alcove_cells(verts, k)
                     assert got == _alcove_refine_cycle_by_points(verts, k)
                     assert len(got) == k ** d
 
@@ -609,7 +610,7 @@ def _boundary_by_simplices(P, k):
             if k == 1:
                 simplices.append(make_simplex(cell))
             else:
-                simplices.extend(alcove_refine_dilated_simplex(cell, k))
+                simplices.extend(_alcove_cells(sorted(cell), k))
     return sorted(simplices, key=attrgetter("vertices"))
 
 
@@ -630,7 +631,7 @@ def _full_by_simplices(P, k):
                 if k == 1:
                     simplices.append(make_simplex(cone))
                 else:
-                    simplices.extend(alcove_refine_cycle(cone, k))
+                    simplices.extend(_alcove_cells(cone, k))
     else:
         for facet, cells, _ in level1_boundary(P):
             for cell in cells:
@@ -638,7 +639,7 @@ def _full_by_simplices(P, k):
                 if k == 1:
                     simplices.append(make_simplex(cone))
                 else:
-                    simplices.extend(alcove_refine_dilated_simplex(cone, k))
+                    simplices.extend(_alcove_cells(sorted(cone), k))
     return sorted(simplices, key=attrgetter("vertices"))
 
 
