@@ -572,11 +572,14 @@ def _solve_integer_least(cols, target):
     d = len(cols[0])
     kept = independent_rows(cols)
     sol = solve_rational([cols[i] for i in kept], [target[i] for i in kept])
-    assert sol is not None
-    assert all(x.denominator == 1 for x in sol), "facet point outside facet lattice"
+    if sol is None:
+        raise AssertionError("facet point system has no solution")
+    if any(x.denominator != 1 for x in sol):
+        raise AssertionError("facet point outside facet lattice")
     sol = tuple(int(x) for x in sol)
     for i in range(n):
-        assert sum(cols[i][j] * sol[j] for j in range(d)) == target[i]
+        if sum(cols[i][j] * sol[j] for j in range(d)) != target[i]:
+            raise AssertionError("facet point off the facet hyperplane")
     return sol
 
 
@@ -630,7 +633,8 @@ def is_reflexive(P):
     if not all(f.offset == 1 for f in P.facets):
         return False
     interior = interior_lattice_points(P, 1)
-    assert interior == [tuple([0] * P.dim)], "reflexive cross-check failed"
+    if interior != [tuple([0] * P.dim)]:
+        raise AssertionError("reflexive cross-check failed")
     return True
 
 

@@ -20,8 +20,9 @@ is not group-invariant.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import gcd
+from itertools import accumulate, permutations
+from math import gcd, prod
+from operator import or_
 
 from .errors import (
     CoverageError,
@@ -224,67 +225,87 @@ def affine_pl_function(P, k, a, sign=1):
 
 
 def corner_triangulation(Q):
-    """Simplices with vertices among Q's vertices covering Q.
-
-    Boxes use the scaled staircase (no hull run); everything else takes the
-    placing fan from the least vertex over the raw hull boundary.
+    """Simplices with vertices among Q's vertices covering Q: the placing fan
+    from the least vertex over the raw hull boundary.  bipyramid_carrier
+    builds the staircase of an aligned box from corner ids instead.
     """
-    box = _facet_as_aligned_box(Q)
-    if box is not None:
-        _, los, his = box
-        steps = [hi - lo for lo, hi in zip(los, his)]
-        return [
-            tuple(staircase_chain(los, steps, sigma))
-            for sigma in permutations(range(Q.dim))
-        ]
     return list(_fan_simplices(Q))
 
 
 def bipyramid_carrier(Q):
     """Carrier of D(Q) at k = 1: both apexes coned over a corner triangulation
     of the equator.  Returns (Triangulation, locate) where locate(point)
-    yields exact barycentric weights on carrier vertices."""
+    yields exact barycentric weights on carrier vertices.
+
+    On an aligned box the carrier is one block: the 2^n box corners, lifted
+    by a trailing 0, then the two apexes.  A corner's id is the bitmask of
+    the coordinates at their high end, so the staircase cell of a coordinate
+    order sigma is the chain of masks 0, 2^sigma_0, 2^sigma_0 + 2^sigma_1,
+    ..., 2^n - 1, coned to either apex; no vertex tuple is built per cell,
+    and the point table and cells come out as if each staircase cell had
+    been passed as its own block of vertices.  Other polytopes cone the
+    corner_triangulation cell by cell.
+    """
     n = Q.dim
-    base_cells = corner_triangulation(Q)
     apex_up = (0,) * n + (1,)
     apex_dn = (0,) * n + (-1,)
-    cells = []
-    for cell in base_cells:
-        lifted = [v + (0,) for v in cell]
-        cells.append(lifted + [apex_up])
-        cells.append(lifted + [apex_dn])
-    carrier = Triangulation.from_blocks(n + 1, cell_blocks(cells), strategy="bipyramid")
-
     box = _facet_as_aligned_box(Q)
+    if box is not None:
+        _, los, his = box
+        steps = [hi - lo for lo, hi in zip(los, his)]
+        # locate_base reads u_i = (p_i - lo_i) / step_i as ints over one L
+        L = prod(steps)
+        scale = [L // s for s in steps]
+        corners = [
+            tuple(his[i] if mask >> i & 1 else los[i] for i in range(n)) + (0,)
+            for mask in range(1 << n)
+        ]
+        up, dn = 1 << n, (1 << n) + 1
+        cells = []
+        for sigma in permutations(range(n)):
+            masks = tuple(accumulate(map((1).__lshift__, sigma), or_, initial=0))
+            cells.append(masks + (up,))
+            cells.append(masks + (dn,))
+        carrier = Triangulation.from_blocks(
+            n + 1, [(corners + [apex_up, apex_dn], cells)], strategy="bipyramid"
+        )
+    else:
+        base_cells = corner_triangulation(Q)
+        cells = []
+        for cell in base_cells:
+            lifted = [v + (0,) for v in cell]
+            cells.append(lifted + [apex_up])
+            cells.append(lifted + [apex_dn])
+        carrier = Triangulation.from_blocks(n + 1, cell_blocks(cells), strategy="bipyramid")
 
     def locate_base(p):
         """Barycentric weights of p inside some base cell of Q."""
         if box is not None:
-            _, los, his = box
-            steps = [hi - lo for lo, hi in zip(los, his)]
-            u = [Fraction(p[i] - los[i], steps[i]) for i in range(n)]
-            order = sorted(range(n), key=lambda i: (-u[i], i))
+            U = [(x - lo) * s for x, lo, s in zip(p, los, scale)]
+            order = sorted(range(n), key=lambda i: (-U[i], i))
             chain = staircase_chain(los, steps, order)
-            lams = []
-            lams.append(1 - u[order[0]])
+            lams = [L - U[order[0]]]
             for t in range(n - 1):
-                lams.append(u[order[t]] - u[order[t + 1]])
-            lams.append(u[order[-1]])
-            weights = [
-                (chain[i], lams[i]) for i in range(n + 1) if lams[i] != 0
-            ]
-        else:
-            weights = None
-            for cell in base_cells:
-                bc = LatticeSimplex(vertices=tuple(sorted(cell))).barycentric(p)
-                if bc is not None:
-                    verts = tuple(sorted(cell))
-                    weights = [
-                        (verts[i], bc[i]) for i in range(len(verts)) if bc[i] != 0
-                    ]
-                    break
-            if weights is None:
-                raise AssertionError("point escaped the base triangulation")
+                lams.append(U[order[t]] - U[order[t + 1]])
+            lams.append(U[order[-1]])
+            # exact reconstruction check, in ints over L; the weights
+            # telescope to L, so only the coordinates need checking
+            if any(
+                sum(lam * v[i] for v, lam in zip(chain, lams)) != p[i] * L for i in range(n)
+            ):
+                raise AssertionError("barycentric weights do not reproduce the point")
+            return [(v, Fraction(lam, L)) for v, lam in zip(chain, lams) if lam]
+        weights = None
+        for cell in base_cells:
+            bc = LatticeSimplex(vertices=tuple(sorted(cell))).barycentric(p)
+            if bc is not None:
+                verts = tuple(sorted(cell))
+                weights = [
+                    (verts[i], bc[i]) for i in range(len(verts)) if bc[i] != 0
+                ]
+                break
+        if weights is None:
+            raise AssertionError("point escaped the base triangulation")
         # exact reconstruction check
         if sum(w for _, w in weights) != 1 or any(
             sum(w * v[i] for v, w in weights) != p[i] for i in range(n)

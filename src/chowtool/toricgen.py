@@ -77,7 +77,8 @@ def relation_basis(points):
     pairwise for small support.
     """
     pts = [tuple(p) for p in points]
-    assert pts and all(x == 0 for x in pts[0]), "point 0 must be the origin"
+    if not pts or any(pts[0]):
+        raise OriginMissing("point 0 must be the origin")
     n = len(pts[0])
     rows = [[p[i] for p in pts] for i in range(n)]
     rows.append([1] * len(pts))
@@ -133,7 +134,8 @@ def binomial_equations(P):
         lhs = tuple((i, x) for i, x in enumerate(u) if i >= 1 and x > 0)
         rhs = tuple((i, -x) for i, x in enumerate(u) if i >= 1 and x < 0)
         eq = BinomialEquation(lhs_exponents=lhs, rhs_exponents=rhs, z0_power=a)
-        assert eq.degree() == sum(e for _, e in rhs) + a, "inhomogeneous relation"
+        if eq.degree() != sum(e for _, e in rhs) + a:
+            raise AssertionError("inhomogeneous relation")
         equations.append(eq)
     return pts, equations
 

@@ -30,8 +30,15 @@ Refined and staircase cells come in few shapes up to translation and
 permutation of the coordinates, neither of which changes a cell's volume,
 so a triangulation computes its volumes once per distinct edge matrix up to
 column order (Triangulation.volumes); verification still checks every cell.
+
+The ridge condition of verify_regular_boundary is counted chunk by chunk
+(_ridges_in_pairs): a ridge is filed under its least point id, which is the
+first id of the cells it heads and the second of the cells it tails, so a
+table cut where the first id changes counts each ridge in one chunk, and
+only one chunk's ridges are held at a time instead of all of them.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,11 +47,12 @@ from itertools import (
     chain,
     combinations,
     compress,
+    islice,
     permutations,
     product as iter_product,
     repeat,
 )
-from operator import add, and_, attrgetter, mul, sub
+from operator import add, and_, attrgetter, itemgetter, mul, sub
 
 from .errors import DegenerateSimplex, NoStrategy, NotReflexive
 from .geometry import (
@@ -780,7 +788,8 @@ def cone_over_boundary(P, boundary_tri):
         raise NotReflexive("cone_over_boundary requires a reflexive polytope")
     n = P.dim
     origin = (0,) * n
-    assert origin not in boundary_tri.points
+    if origin in boundary_tri.points:
+        raise AssertionError("the boundary triangulation passes through the origin")
     images = (origin,) + boundary_tri.points
     cells = [(0,) + tuple(i + 1 for i in c) for c in boundary_tri.cells]
     return Triangulation.from_blocks(n, [(images, cells)], strategy="cone")
@@ -968,6 +977,54 @@ class BoundaryReport:
         )
 
 
+def _ridges_in_pairs(cells, chunk=4096):
+    """True iff every ridge of cells lies in exactly two of them.
+
+    cells is a point table's cells: sorted tuples of point ids, in sorted
+    order.  A ridge with least id m lies in a cell c that either starts at m,
+    and then the ridge is one of c's first d ridges (the d-subsets through
+    c[0], which combinations yields first), or starts before m, and then the
+    ridge is c's tail c[1:].  So all of a ridge's cells are found among the
+    cells starting at m and the tails starting at m.
+
+    The table is cut into chunks of about chunk cells, only where the first
+    id changes, so the cells starting at m all lie in the one chunk whose
+    range of first ids covers m.  Each cell's tail is filed, by bisection on
+    the chunks' first ids, under the chunk that covers its least id, which
+    is this chunk or a later one.  Each chunk counts its cells' head ridges
+    and the tails filed under it, checks the counts and drops them, so the
+    memory held is one chunk's ridges plus one reference per pending tail.
+    A table of one chunk is counted at once.
+    """
+    if not cells:
+        return True
+    d = len(cells[0]) - 1
+    if len(cells) <= chunk:
+        return set(Counter(chain.from_iterable(map(combinations, cells, repeat(d)))).values()) <= {2}
+    starts = [0]
+    end = chunk
+    while end < len(cells):
+        # past the last cell that starts where the nominal cut falls
+        end = bisect_left(cells, (cells[end - 1][0] + 1,), end)
+        if end < len(cells):
+            starts.append(end)
+        end += chunk
+    firsts = [cells[s][0] for s in starts]
+    pending = [[] for _ in starts]
+    tail = itemgetter(slice(1, None))
+    for i, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(cells)])):
+        block = cells[lo:hi]
+        heads = map(islice, map(combinations, block, repeat(d)), repeat(d))
+        counts = Counter(chain.from_iterable(heads))
+        for c, j in zip(block, map(bisect_right, repeat(firsts), map(itemgetter(1), block))):
+            pending[j - 1].append(c)
+        counts.update(map(tail, pending[i]))
+        pending[i] = None
+        if not set(counts.values()) <= {2}:
+            return False
+    return True
+
+
 def verify_regular_boundary(P, T, k):
     """Check a claimed triangulation of the boundary of kP.
 
@@ -977,7 +1034,8 @@ def verify_regular_boundary(P, T, k):
     bound n! at every lattice point.  Every cell is checked, through T's
     point table: the volumes come from T.volumes(), one kernel call per
     distinct edge matrix up to column order, and facet masks are one int per
-    point.
+    point.  Ridges are counted by _ridges_in_pairs, one chunk of about 4,096
+    cells at a time, so one chunk's ridges are held rather than every ridge.
     """
     n = P.dim
     expected = boundary_volume(P) * k ** (n - 1)
@@ -1003,7 +1061,7 @@ def verify_regular_boundary(P, T, k):
     # the boundary of kP is a closed surface, so every ridge of a proper
     # triangulation lies in exactly two cells; a count of one flags two
     # facets subdividing their shared face differently
-    face_compatible = T.dim < 1 or set(T.ridge_counts().values()) <= {2}
+    face_compatible = T.dim < 1 or _ridges_in_pairs(T.cells)
 
     counts = T.incidence()
     bound = _factorial(n)

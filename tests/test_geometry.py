@@ -169,6 +169,31 @@ def test_is_reflexive():
     assert is_reflexive(A4)
 
 
+def test_reflexive_cross_check_raises_without_asserts(monkeypatch):
+    # an explicit raise, so python -O keeps it; no polytope with every
+    # offset 1 has an interior lattice point besides 0, so a wrong interior
+    # list is forced
+    monkeypatch.setattr(geometry, "interior_lattice_points", lambda P, k: [])
+    with pytest.raises(AssertionError, match="reflexive cross-check failed"):
+        is_reflexive(SQUARE)
+
+
+@pytest.mark.parametrize(
+    "cols, target, message",
+    [
+        # the kept row [0, 1] leaves the first unknown without a pivot
+        ([[0, 1]], [1], "facet point system has no solution"),
+        ([[2]], [1], "facet point outside facet lattice"),
+        # the kept first row gives x = 1, which misses the second row
+        ([[1], [1]], [1, 2], "facet point off the facet hyperplane"),
+    ],
+)
+def test_solve_integer_least_raises_without_asserts(cols, target, message):
+    # explicit raises, so python -O keeps them
+    with pytest.raises(AssertionError, match=message):
+        geometry._solve_integer_least(cols, target)
+
+
 def test_product():
     sq = product(SEG, SEG)
     assert set(sq.vertices) == set(SQUARE.vertices)

@@ -1,6 +1,8 @@
+import tracemalloc
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from math import factorial
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +18,21 @@ from chowtool.geometry import (
 from chowtool.ehrhart import count
 from chowtool.linalg import det_int
 from chowtool.symmetry import AffineFunctional, fo_invariant
-from chowtool.triangulation import delaunay_triangulation, Triangulation, make_simplex
+from chowtool.triangulation import (
+    delaunay_triangulation,
+    Triangulation,
+    cell_blocks,
+    make_simplex,
+    staircase_chain,
+    _facet_as_aligned_box,
+)
 from chowtool.stability import (
     Certificate,
     PLFunction,
     chow_gap,
     affine_pl_function,
+    bipyramid_carrier,
+    corner_triangulation,
     scaled_fan_carrier,
     double_cone_cap,
     double_cone_instability,
@@ -704,6 +715,90 @@ def test_falsifier_invariants_raise_without_asserts():
     flat = Triangulation.from_blocks(2, [([(-1, 0), (0, 0), (0, 1), (1, 0)], [(0, 1, 3), (1, 2, 3)])])
     with pytest.raises(AssertionError, match="ridge system must be solvable"):
         stability._fold_rows(flat, [0, 1, 2, 3], 4)
+
+
+# ---------------------------------------------------------------------------
+# the per-cell bipyramid build and the Fraction locate the corner-id carrier
+# replaced on boxes, kept as their oracles
+# ---------------------------------------------------------------------------
+
+
+def _bipyramid_carrier_by_cells(Q):
+    n = Q.dim
+    box = _facet_as_aligned_box(Q)
+    if box is not None:
+        _, los, his = box
+        steps = [hi - lo for lo, hi in zip(los, his)]
+        base = [staircase_chain(los, steps, sigma) for sigma in permutations(range(n))]
+    else:
+        base = corner_triangulation(Q)
+    cells = []
+    for cell in base:
+        lifted = [v + (0,) for v in cell]
+        cells.append(lifted + [(0,) * n + (1,)])
+        cells.append(lifted + [(0,) * n + (-1,)])
+    return Triangulation.from_blocks(n + 1, cell_blocks(cells), strategy="bipyramid")
+
+
+def _box_locate_by_fractions(Q, point):
+    n = Q.dim
+    _, los, his = _facet_as_aligned_box(Q)
+    p, q = point[:-1], point[-1]
+    if q:
+        assert not any(p) and q in (1, -1)
+        return [((0,) * n + (q,), Fraction(1))]
+    steps = [hi - lo for lo, hi in zip(los, his)]
+    u = [Fraction(p[i] - los[i], steps[i]) for i in range(n)]
+    order = sorted(range(n), key=lambda i: (-u[i], i))
+    corners = staircase_chain(los, steps, order)
+    lams = [1 - u[order[0]]]
+    lams += [u[order[t]] - u[order[t + 1]] for t in range(n - 1)]
+    lams.append(u[order[-1]])
+    return [(corners[i] + (0,), lams[i]) for i in range(n + 1) if lams[i] != 0]
+
+
+_NON_CUBE_BOX = Polytope(list(iproduct((0, 2), (-1, 3), (1, 2))), name="box")
+
+
+@pytest.mark.parametrize(
+    "Q",
+    [cube(n) for n in range(1, 8)] + [_NON_CUBE_BOX, X6, Q_SKEW, double_cone(X4)],
+    ids=lambda Q: Q.name or "D(X4)",
+)
+def test_bipyramid_carrier_matches_cell_oracle(Q):
+    carrier, _ = bipyramid_carrier(Q)
+    oracle = _bipyramid_carrier_by_cells(Q)
+    assert carrier.points == oracle.points
+    assert carrier.cells == oracle.cells
+    assert carrier.strategy == oracle.strategy == "bipyramid"
+
+
+def test_bipyramid_carrier_of_cube7_peaks_under_a_third_of_the_cell_oracle():
+    Q = cube(7)
+    _facet_as_aligned_box(Q)  # Q's vertices are built outside the measurement
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(Q)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(bipyramid_carrier) < peak(_bipyramid_carrier_by_cells) / 3
+
+
+@pytest.mark.parametrize("Q", [cube(n) for n in range(3, 7)] + [_NON_CUBE_BOX], ids=attrgetter("name"))
+def test_bipyramid_locate_matches_fraction_oracle(Q):
+    _, locate = bipyramid_carrier(Q)
+    if Q is _NON_CUBE_BOX:  # no double cone: its lattice points at height 0
+        points = [p + (0,) for p in lattice_points(Q, 1)]
+    else:
+        points = lattice_points(double_cone(Q), 1)
+    for p in points:
+        weights = locate(p)
+        assert weights == _box_locate_by_fractions(Q, p)
+        assert all(type(w) is Fraction for _, w in weights)
 
 
 @pytest.mark.parametrize("k_max", [0, -2])

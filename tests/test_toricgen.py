@@ -12,7 +12,7 @@ from chowtool.toricgen import (
     render_equations,
     KERNEL_BASIS_NOTE,
 )
-from chowtool import catalog
+from chowtool import catalog, toricgen
 
 
 def vec_for(points, combos, z0):
@@ -34,6 +34,21 @@ def test_points_order_origin_first():
 def test_origin_required():
     with pytest.raises(OriginMissing):
         binomial_equations(Polytope([(1, 0), (2, 0), (1, 1)]))
+
+
+def test_relation_basis_origin_raises_without_asserts():
+    # an explicit raise, so python -O keeps it
+    for points in ([], [(1, 0), (0, 0), (0, 1)]):
+        with pytest.raises(OriginMissing, match="point 0 must be the origin"):
+            relation_basis(points)
+
+
+def test_inhomogeneous_relation_raises_without_asserts(monkeypatch):
+    # an explicit raise, so python -O keeps it; (0, 1, 0, 0) is no relation:
+    # its one-sided z1 = 1 has degrees 1 and 0
+    monkeypatch.setattr(toricgen, "relation_basis", lambda points: [(0, 1, 0, 0)])
+    with pytest.raises(AssertionError, match="inhomogeneous relation"):
+        binomial_equations(catalog.get("X3").polytope)
 
 
 def test_relation_basis_X3():

@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -216,6 +217,14 @@ def test_cone_over_boundary():
     assert all(s.relative_volume() == Fraction(1, 6) for s in C3.simplices)
     with pytest.raises(NotReflexive):
         cone_over_boundary(Polytope([(0, 0), (2, 0), (0, 1)]), B)
+
+
+def test_cone_over_boundary_origin_raises_without_asserts():
+    # an explicit raise, so python -O keeps it
+    inner = make_simplex([(0, 0), (1, 0)])
+    B = Triangulation(dim=1, simplices=boundary_triangulation(X4, 1).simplices + (inner,))
+    with pytest.raises(AssertionError, match="passes through the origin"):
+        cone_over_boundary(X4, B)
 
 
 def test_cone_boundary_incidence_matches_m():
@@ -564,6 +573,112 @@ def test_ridge_census_matches_slicing(name, k):
     assert sum(census.values()) == len(T) * (T.dim + 1)
 
 
+# ---------------------------------------------------------------------------
+# the chunked ridge check against the one-Counter census it replaced
+# ---------------------------------------------------------------------------
+
+
+def _assert_ridges_in_pairs_agree(T):
+    """_ridges_in_pairs agrees with ridge_counts at chunk sizes small enough
+    that most tables are cut into many chunks; returns the verdict."""
+    expected = set(T.ridge_counts().values()) <= {2}
+    for chunk in (1, 2, 3, 64, 4096):
+        assert triangulation._ridges_in_pairs(T.cells, chunk) == expected, chunk
+    return expected
+
+
+def _flip_facet(T, coord, level):
+    """T, a boundary of a cube centred at 0, with the cells on the facet
+    x_coord = level mirrored in the next coordinate, so that facet's squares
+    take the other diagonal while its neighbours keep theirs."""
+    j = coord + 1
+
+    def flip(v):
+        return v[:j] + (-v[j],) + v[j + 1 :]
+
+    return Triangulation(
+        T.dim,
+        simplices=tuple(
+            make_simplex([flip(v) for v in s.vertices])
+            if all(v[coord] == level for v in s.vertices)
+            else s
+            for s in T.simplices
+        ),
+    )
+
+
+def _ridge_mutants(T):
+    """Broken copies of the closed complex T: a cell dropped, repeated or
+    swapped for its translate, at the start, middle and end of the table."""
+    simplices = T.simplices
+    shift = (1,) + (0,) * (len(T.points[0]) - 1)
+    for i in (0, len(simplices) // 2, len(simplices) - 1):
+        cell = simplices[i]
+        yield "dropped", simplices[:i] + simplices[i + 1 :]
+        yield "repeated", simplices + (cell,)
+        moved = make_simplex(_translate(cell.vertices, shift))
+        yield "translated", simplices[:i] + (moved,) + simplices[i + 1 :]
+
+
+@pytest.mark.parametrize("name, k", [("cube4", 1), ("cube4", 2), ("simplexPn3", 2), ("D4", 1)])
+def test_ridges_in_pairs_flags_mutants(name, k):
+    P = _cube4() if name == "cube4" else catalog.get(name).polytope
+    T = boundary_triangulation(P, k)
+    assert _assert_ridges_in_pairs_agree(T)
+    for kind, simplices in _ridge_mutants(T):
+        assert not _assert_ridges_in_pairs_agree(Triangulation(T.dim, simplices=simplices)), kind
+    if name == "cube4":
+        # two facets re-subdivided differently: the facet x_1 = k mirrored
+        flipped = _flip_facet(T, 0, k)
+        assert flipped.relative_volume() == T.relative_volume()
+        assert not _assert_ridges_in_pairs_agree(flipped)
+
+
+@st.composite
+def _pure_complexes(draw):
+    """(d, cells): d-cells as sorted tuples of point ids 0..15.  Boundaries
+    of (d + 1)-simplices, where every ridge lies in two cells unless two
+    boundaries share a cell, left as they are, given a few more cells, or
+    with one cell dropped."""
+    d = draw(st.integers(1, 3))
+    ids = st.integers(0, 15)
+    cells = []
+    for s in draw(st.lists(st.sets(ids, min_size=d + 2, max_size=d + 2), max_size=4)):
+        cells.extend(combinations(sorted(s), d + 1))
+    change = draw(st.sampled_from(["none", "extra", "dropped"]))
+    if change == "extra":
+        extra = st.sets(ids, min_size=d + 1, max_size=d + 1).map(sorted).map(tuple)
+        cells += draw(st.lists(extra, min_size=1, max_size=3))
+    elif change == "dropped" and cells:
+        del cells[draw(st.integers(0, len(cells) - 1))]
+    return d, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pure_complexes())
+def test_ridges_in_pairs_matches_ridge_counts_on_pure_complexes(case):
+    d, cells = case
+    T = Triangulation.from_blocks(d, [([(i,) for i in range(16)], cells)])
+    _assert_ridges_in_pairs_agree(T)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ridges_in_pairs_peaks_under_half_of_ridge_counts():
+    T = boundary_triangulation(catalog.get("simplexPn4").polytope, 4)
+    assert len(T) == 40000  # about ten chunks of 4,096 cells
+    full = _traced_peak(T.ridge_counts)
+    chunked = _traced_peak(lambda: triangulation._ridges_in_pairs(T.cells))
+    assert chunked < full / 2
+
+
 @pytest.mark.parametrize(
     "points", [[(1, 0), (1, 0)], [(0, 0), (1, 1), (2, 2)]], ids=["repeated vertex", "collinear"]
 )
@@ -771,6 +886,7 @@ def test_point_table_matches_simplex_oracle(name, kind):
         if kind == "boundary":
             expected = _report_by_simplices(P, simplices, k, *censuses)
             assert verify_regular_boundary(P, T, k) == expected
+            _assert_ridges_in_pairs_agree(T)
         del T.simplices  # the view is rebuilt on demand; free it between dilations
 
 
