@@ -20,9 +20,7 @@ is not group-invariant.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
 from math import gcd, prod
-from operator import or_
 
 from .errors import (
     CoverageError,
@@ -65,6 +63,7 @@ from .triangulation import (
     verify_regular_boundary,
     staircase_chain,
     _facet_as_aligned_box,
+    _freudenthal_box_block,
 )
 from .linalg import dot, vec_sub, independent_rows, solve_int, solve_rational, primitive
 from .lp import solve_lp
@@ -237,14 +236,14 @@ def bipyramid_carrier(Q):
     of the equator.  Returns (Triangulation, locate) where locate(point)
     yields exact barycentric weights on carrier vertices.
 
-    On an aligned box the carrier is one block: the 2^n box corners, lifted
-    by a trailing 0, then the two apexes.  A corner's id is the bitmask of
-    the coordinates at their high end, so the staircase cell of a coordinate
-    order sigma is the chain of masks 0, 2^sigma_0, 2^sigma_0 + 2^sigma_1,
-    ..., 2^n - 1, coned to either apex; no vertex tuple is built per cell,
-    and the point table and cells come out as if each staircase cell had
-    been passed as its own block of vertices.  Other polytopes cone the
-    corner_triangulation cell by cell.
+    On an aligned box the carrier is one block: the staircase triangulation
+    of the unit cube (_freudenthal_box_block), whose 2^n corners are mapped
+    onto the box's corners and lifted by a trailing 0, then the two apexes.
+    Each of its n! chains of corner ids, one per coordinate order, is coned
+    to either apex; no vertex tuple is built per cell, and the point table
+    and cells come out as if each staircase cell had been passed as its own
+    block of vertices.  Other polytopes cone the corner_triangulation cell
+    by cell.
     """
     n = Q.dim
     apex_up = (0,) * n + (1,)
@@ -256,16 +255,12 @@ def bipyramid_carrier(Q):
         # locate_base reads u_i = (p_i - lo_i) / step_i as ints over one L
         L = prod(steps)
         scale = [L // s for s in steps]
+        unit, chains = _freudenthal_box_block((0,) * n, (1,) * n)
         corners = [
-            tuple(his[i] if mask >> i & 1 else los[i] for i in range(n)) + (0,)
-            for mask in range(1 << n)
+            tuple(lo + x * s for x, lo, s in zip(pt, los, steps)) + (0,) for pt in unit
         ]
-        up, dn = 1 << n, (1 << n) + 1
-        cells = []
-        for sigma in permutations(range(n)):
-            masks = tuple(accumulate(map((1).__lshift__, sigma), or_, initial=0))
-            cells.append(masks + (up,))
-            cells.append(masks + (dn,))
+        up, dn = len(corners), len(corners) + 1
+        cells = [c + (apex,) for c in chains for apex in (up, dn)]
         carrier = Triangulation.from_blocks(
             n + 1, [(corners + [apex_up, apex_dn], cells)], strategy="bipyramid"
         )

@@ -977,7 +977,11 @@ class BoundaryReport:
         )
 
 
-def _ridges_in_pairs(cells, chunk=4096):
+# cells per chunk of _ridges_in_pairs; the tests lower it to force many chunks
+_RIDGE_CHUNK = 4096
+
+
+def _ridges_in_pairs(cells):
     """True iff every ridge of cells lies in exactly two of them.
 
     cells is a point table's cells: sorted tuples of point ids, in sorted
@@ -987,20 +991,20 @@ def _ridges_in_pairs(cells, chunk=4096):
     ridge is c's tail c[1:].  So all of a ridge's cells are found among the
     cells starting at m and the tails starting at m.
 
-    The table is cut into chunks of about chunk cells, only where the first
-    id changes, so the cells starting at m all lie in the one chunk whose
-    range of first ids covers m.  Each cell's tail is filed, by bisection on
+    The table is cut into chunks of about _RIDGE_CHUNK cells, only where the
+    first id changes, so the cells starting at m all lie in the one chunk
+    whose range of first ids covers m.  Each cell's tail is filed, by bisection on
     the chunks' first ids, under the chunk that covers its least id, which
     is this chunk or a later one.  Each chunk counts its cells' head ridges
     and the tails filed under it, checks the counts and drops them, so the
     memory held is one chunk's ridges plus one reference per pending tail.
-    A table of one chunk is counted at once.
+    A table of one chunk files every tail under that chunk, so its heads and
+    tails, each cell's d + 1 ridges, are counted in one Counter.
     """
     if not cells:
         return True
     d = len(cells[0]) - 1
-    if len(cells) <= chunk:
-        return set(Counter(chain.from_iterable(map(combinations, cells, repeat(d)))).values()) <= {2}
+    chunk = _RIDGE_CHUNK
     starts = [0]
     end = chunk
     while end < len(cells):

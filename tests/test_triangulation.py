@@ -583,7 +583,9 @@ def _assert_ridges_in_pairs_agree(T):
     that most tables are cut into many chunks; returns the verdict."""
     expected = set(T.ridge_counts().values()) <= {2}
     for chunk in (1, 2, 3, 64, 4096):
-        assert triangulation._ridges_in_pairs(T.cells, chunk) == expected, chunk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(triangulation, "_RIDGE_CHUNK", chunk)
+            assert triangulation._ridges_in_pairs(T.cells) == expected, chunk
     return expected
 
 
