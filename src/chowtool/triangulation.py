@@ -32,10 +32,11 @@ so a triangulation computes its volumes once per distinct edge matrix up to
 column order (Triangulation.volumes); verification still checks every cell.
 
 The ridge condition of verify_regular_boundary is counted chunk by chunk
-(_ridges_in_pairs): a ridge is filed under its least point id, which is the
-first id of the cells it heads and the second of the cells it tails, so a
-table cut where the first id changes counts each ridge in one chunk, and
-only one chunk's ridges are held at a time instead of all of them.
+(_ridges_in_pairs): a ridge is counted in the chunk that covers its least
+point id, which is the first id of the cells starting there and the second
+of the cells whose tail it is, so a table cut where the first id changes
+counts each ridge in one chunk, and only one chunk's ridges are held at a
+time instead of all of them.
 """
 
 from bisect import bisect_left, bisect_right
@@ -47,11 +48,11 @@ from itertools import (
     chain,
     combinations,
     compress,
-    islice,
     permutations,
     product as iter_product,
     repeat,
 )
+from math import inf
 from operator import add, and_, attrgetter, itemgetter, mul, sub
 
 from .errors import DegenerateSimplex, NoStrategy, NotReflexive
@@ -986,20 +987,20 @@ def _ridges_in_pairs(cells):
 
     cells is a point table's cells: sorted tuples of point ids, in sorted
     order.  A ridge with least id m lies in a cell c that either starts at m,
-    and then the ridge is one of c's first d ridges (the d-subsets through
-    c[0], which combinations yields first), or starts before m, and then the
-    ridge is c's tail c[1:].  So all of a ridge's cells are found among the
-    cells starting at m and the tails starting at m.
+    and then the ridge contains c[0], or starts before m, and then the ridge
+    is c's tail c[1:].  So all of a ridge's cells are found among the cells
+    starting at m and the cells whose tail starts at m.
 
     The table is cut into chunks of about _RIDGE_CHUNK cells, only where the
     first id changes, so the cells starting at m all lie in the one chunk
-    whose range of first ids covers m.  Each cell's tail is filed, by bisection on
-    the chunks' first ids, under the chunk that covers its least id, which
-    is this chunk or a later one.  Each chunk counts its cells' head ridges
-    and the tails filed under it, checks the counts and drops them, so the
-    memory held is one chunk's ridges plus one reference per pending tail.
-    A table of one chunk files every tail under that chunk, so its heads and
-    tails, each cell's d + 1 ridges, are counted in one Counter.
+    whose range of first ids covers m.  Each chunk counts every ridge of its
+    cells plus the tails passed to it by earlier chunks.  A tail whose least
+    id lies past the chunk's range is taken back out of the counts (to 0)
+    and passed, by bisection on the chunks' first ids, to the chunk that
+    covers it.  Every other count is then complete and must be 2; the
+    chunk's counts are dropped, so the memory held is one chunk's ridges
+    plus one reference per passed tail.  A table of one chunk passes nothing
+    on and is counted in one Counter.
     """
     if not cells:
         return True
@@ -1016,15 +1017,19 @@ def _ridges_in_pairs(cells):
     firsts = [cells[s][0] for s in starts]
     pending = [[] for _ in starts]
     tail = itemgetter(slice(1, None))
-    for i, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(cells)])):
+    second = itemgetter(1)
+    ends = starts[1:] + [len(cells)]
+    for i, (lo, hi, past) in enumerate(zip(starts, ends, firsts[1:] + [inf])):
         block = cells[lo:hi]
-        heads = map(islice, map(combinations, block, repeat(d)), repeat(d))
-        counts = Counter(chain.from_iterable(heads))
-        for c, j in zip(block, map(bisect_right, repeat(firsts), map(itemgetter(1), block))):
-            pending[j - 1].append(c)
+        counts = Counter(chain.from_iterable(map(combinations, block, repeat(d))))
         counts.update(map(tail, pending[i]))
         pending[i] = None
-        if not set(counts.values()) <= {2}:
+        # the cells whose tail starts at or past the next chunk's first id
+        later = list(compress(block, map(past.__le__, map(second, block))))
+        counts.subtract(Counter(map(tail, later)))
+        for c, j in zip(later, map(bisect_right, repeat(firsts), map(second, later))):
+            pending[j - 1].append(c)
+        if not set(counts.values()) <= {0, 2}:
             return False
     return True
 
