@@ -12,6 +12,7 @@ and scale facet offsets on the fly.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import NotFullDimensional, NotReflexive, DimensionTooSmall, OriginNotInterior
 from .linalg import (
@@ -516,7 +517,7 @@ def volume(P):
     for simplex in _fan_simplices(P):
         edges = [vec_sub(q, simplex[0]) for q in simplex[1:]]
         total += abs(det_int(edges))
-    vol = Fraction(total, _factorial(n))
+    vol = Fraction(total, factorial(n))
     P._volume = vol
     return vol
 
@@ -539,13 +540,6 @@ def centroid(P):
     c = tuple(a / total for a in acc)
     P._centroid = c
     return c
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def facet_lattice_basis(facet):
@@ -574,6 +568,8 @@ def _solve_integer_least(cols, target):
     sol = solve_rational([cols[i] for i in kept], [target[i] for i in kept])
     if sol is None:
         raise AssertionError("facet point system has no solution")
+    if len(kept) < d:
+        raise AssertionError("facet point system has fewer independent rows than unknowns")
     if any(x.denominator != 1 for x in sol):
         raise AssertionError("facet point outside facet lattice")
     sol = tuple(int(x) for x in sol)
@@ -617,7 +613,7 @@ def facet_relative_volume(P, facet):
         return Fraction(1)
     if len(facet.vertices) == n:
         g = simplex_relative_volume_times_factorial(facet.vertices)
-        return Fraction(g, _factorial(n - 1))
+        return Fraction(g, factorial(n - 1))
     return volume(facet_polytope(P, facet)[0])
 
 

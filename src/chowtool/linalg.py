@@ -49,16 +49,9 @@ def integer_root(x, d):
     return r if r ** d == x else None
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -218,7 +211,7 @@ def independent_rows(rows):
         col = next((j for j, x in enumerate(r) if x), None)
         if col is None:
             continue
-        g = vec_gcd(r)
+        g = gcd(*r)
         pivots.append((col, [x // g for x in r]))
         kept.append(idx)
         if len(kept) == len(r):

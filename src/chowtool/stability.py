@@ -20,7 +20,7 @@ is not group-invariant.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 from .errors import (
     CoverageError,
@@ -40,7 +40,6 @@ from .geometry import (
     double_cone,
     facet_relative_volume,
     is_reflexive,
-    _factorial,
     _fan_simplices,
 )
 from .ehrhart import count
@@ -181,7 +180,7 @@ def chow_gap(P, k, f):
     if total != vol_target:
         raise CoverageError(f"carrier volume {total} != Vol(kP) = {vol_target}")
     weight = _vertex_weights(f.carrier)
-    integral = Fraction(sum(f.values[v] * w for v, w in weight.items()), _factorial(n + 1))
+    integral = Fraction(sum(f.values[v] * w for v, w in weight.items()), factorial(n + 1))
     pts = lattice_points(P, k)
     discrete = Fraction(sum(f.values[p] for p in pts), len(pts))
     return discrete - integral / vol_target
@@ -223,14 +222,6 @@ def affine_pl_function(P, k, a, sign=1):
 # ---------------------------------------------------------------------------
 
 
-def corner_triangulation(Q):
-    """Simplices with vertices among Q's vertices covering Q: the placing fan
-    from the least vertex over the raw hull boundary.  bipyramid_carrier
-    builds the staircase of an aligned box from corner ids instead.
-    """
-    return list(_fan_simplices(Q))
-
-
 def bipyramid_carrier(Q):
     """Carrier of D(Q) at k = 1: both apexes coned over a corner triangulation
     of the equator.  Returns (Triangulation, locate) where locate(point)
@@ -242,8 +233,8 @@ def bipyramid_carrier(Q):
     Each of its n! chains of corner ids, one per coordinate order, is coned
     to either apex; no vertex tuple is built per cell, and the point table
     and cells come out as if each staircase cell had been passed as its own
-    block of vertices.  Other polytopes cone the corner_triangulation cell
-    by cell.
+    block of vertices.  Other polytopes cone the placing fan (_fan_simplices
+    from the least vertex) cell by cell.
     """
     n = Q.dim
     apex_up = (0,) * n + (1,)
@@ -265,7 +256,7 @@ def bipyramid_carrier(Q):
             n + 1, [(corners + [apex_up, apex_dn], cells)], strategy="bipyramid"
         )
     else:
-        base_cells = corner_triangulation(Q)
+        base_cells = list(_fan_simplices(Q))
         cells = []
         for cell in base_cells:
             lifted = [v + (0,) for v in cell]
@@ -696,7 +687,7 @@ def check_special(P, k_max=None):
                 "function of the stratum so the bound holds for all k"
             ),
             max_incidence_by_k=tuple(maxima),
-            bound=_factorial(n),
+            bound=factorial(n),
             maxima_stable=stable_tail,
         )
     )
@@ -733,7 +724,7 @@ def check_sufficient(P, k_max=None):
     checks.append(ws_check)
     if not ws_check.passed:
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-    bound = _factorial(n + 1)
+    bound = factorial(n + 1)
     origin = (0,) * n
     worst = None
     apex_like = None  # the point with the largest boundary incidence
@@ -966,7 +957,7 @@ def falsify(P, k):
     for weights in where:
         for v, w in weights:
             hits[var_of[v]] += w
-    vol_den = volume(P) * k**n * _factorial(n + 1)
+    vol_den = volume(P) * k**n * factorial(n + 1)
     objective = [w / vol_den - Fraction(h) / chi for w, h in zip(vol_weight, hits)]
 
     # deduplicate constraint rows

@@ -10,10 +10,11 @@ Two building blocks cover the whole catalog:
 
 Boundary triangulations are assembled facet by facet: facets that are
 dilated unimodular simplices or axis-aligned boxes transport the two model
-triangulations, two-dimensional facets get a bespoke polygon triangulation,
-and anything else must be user-supplied.  Cell sets restricted to shared
-faces are lattice-intrinsic for the simplex/box strategies, which is what
-makes the per-facet assembly face-compatible.
+triangulations, two-dimensional facets go through the one polygon
+triangulation (polygon_unimodular_triangulation, which also triangulates the
+bases of double cones), and anything else must be user-supplied.  Cell sets
+restricted to shared faces are lattice-intrinsic for the simplex/box
+strategies, which is what makes the per-facet assembly face-compatible.
 
 A Triangulation is a point table and integer cells: points is the sorted
 tuple of its vertices, and each cell is a sorted tuple of indices into it.
@@ -52,7 +53,7 @@ from itertools import (
     product as iter_product,
     repeat,
 )
-from math import inf
+from math import factorial, gcd, inf
 from operator import add, and_, attrgetter, itemgetter, mul, sub
 
 from .errors import DegenerateSimplex, NoStrategy, NotReflexive
@@ -62,7 +63,6 @@ from .geometry import (
     boundary_volume,
     lattice_points,
     hull_facets,
-    _factorial,
 )
 from .linalg import (
     vec_sub,
@@ -72,7 +72,6 @@ from .linalg import (
     independent_rows,
     primitive,
     solve_rational,
-    vec_gcd,
     edge_matrix_volume_times_factorial,
     simplex_relative_volume_times_factorial,
 )
@@ -97,7 +96,7 @@ class LatticeSimplex:
 
     def relative_volume(self):
         """Volume against the lattice of the affine hull; unimodular means 1/d!."""
-        return Fraction(self.volume_times_factorial, _factorial(self.dim))
+        return Fraction(self.volume_times_factorial, factorial(self.dim))
 
     def is_unimodular(self):
         return self.volume_times_factorial == 1
@@ -256,7 +255,7 @@ class Triangulation:
         """Sum of the cells' relative volumes, added as ints over one d!."""
         if not self.cells:
             return Fraction(0)
-        return Fraction(sum(self.volumes()), _factorial(len(self.cells[0]) - 1))
+        return Fraction(sum(self.volumes()), factorial(len(self.cells[0]) - 1))
 
     def all_unimodular(self):
         return all(vol == 1 for vol in self.volumes())
@@ -544,60 +543,24 @@ def _as_dilated_unimodular_simplex(verts):
 def _polygon_facet_level1(P, facet):
     """Unimodular triangulation of a 2-dimensional facet at dilation 1.
 
-    One interior lattice point: fan from it.  No interior points: dynamic
-    programming over the boundary cycle, scored so that diagonals prefer
-    endpoints lying on few facets of P (this is what keeps the incidence at
-    shared vertices under control, e.g. for rhombic facets).
+    The facet's own polygon (facet_polytope) goes through
+    polygon_unimodular_triangulation, whose cycle DP weighs a point by the
+    number of facets of P having it as a vertex (this is what keeps the
+    incidence at shared vertices under control, e.g. for rhombic facets);
+    the triangles are mapped back into P's coordinates.
     """
     poly, basis, anchor = facet_polytope(P, facet)
-    pts2 = poly.vertices
-    all2 = lattice_points(poly, 1)
-    interior = [p for p in all2 if poly.strictly_contains(p)]
 
     def back(p2):
         return tuple(
             a + sum(b[i] * c for b, c in zip(basis, p2)) for i, a in enumerate(anchor)
         )
 
-    para = _as_parallelogram(pts2)
-    if para is not None:
-        v0, p1, l1, p2_, l2 = para
-        cells = []
-        for cell in _freudenthal_box_cells([0, 0], [l1, l2]):
-            mapped = []
-            for (x, y) in cell:
-                pt = tuple(v0[i] + x * p1[i] + y * p2_[i] for i in range(2))
-                mapped.append(back(pt))
-            cells.append(mapped)
-            if simplex_relative_volume_times_factorial(mapped) != 1:
-                raise NoStrategy("parallelogram strategy produced a bad triangle")
-        return cells
+    def valence(p2):
+        amb = back(p2)
+        return sum(1 for f in P.facets if amb in f.vertices)
 
-    if len(interior) == 1:
-        center = interior[0]
-        cycle = _boundary_cycle(poly, all2)
-        tris = []
-        for i in range(len(cycle)):
-            tris.append((center, cycle[i], cycle[(i + 1) % len(cycle)]))
-    elif len(interior) == 0:
-        cycle = _boundary_cycle(poly, all2)
-        valence = {}
-        for p2 in cycle:
-            amb = back(p2)
-            valence[p2] = sum(1 for f in P.facets if amb in f.vertices)
-        tris = _best_cycle_triangulation(cycle, valence)
-        if tris is None:
-            raise NoStrategy("empty polygon facet admits no unimodular triangulation")
-    else:
-        raise NoStrategy("polygon facet with several interior points")
-
-    cells = []
-    for tri in tris:
-        cell = [back(p2) for p2 in tri]
-        cells.append(cell)
-        if simplex_relative_volume_times_factorial(cell) != 1:
-            raise NoStrategy("polygon strategy produced a non-unimodular triangle")
-    return cells
+    return [[back(p2) for p2 in tri] for tri in polygon_unimodular_triangulation(poly, valence)]
 
 
 def _as_parallelogram(verts):
@@ -624,9 +587,7 @@ def _as_parallelogram(verts):
             p1, p2 = primitive(a), primitive(b)
             if abs(det_int([p1, p2])) != 1:
                 continue
-            l1 = vec_gcd(a)
-            l2 = vec_gcd(b)
-            return v0, p1, l1, p2, l2
+            return v0, p1, gcd(*a), p2, gcd(*b)
     return None
 
 
@@ -655,11 +616,13 @@ def _boundary_cycle(Q, all_points):
     return sorted(boundary, key=cmp_to_key(cmp))
 
 
-def _best_cycle_triangulation(cycle, valence):
+def _best_cycle_triangulation(cycle, weights):
     """All triangulations of a convex cycle by DP; returns the best triangle list.
 
-    Degenerate (collinear) triangles are rejected, which forces subdivided
-    edges to be used; ties break lexicographically for determinism.
+    A triangulation costs the sum, over its triangles, of the weights of
+    their three corners (weights[i] belongs to cycle[i]).  Degenerate
+    (collinear) triangles are rejected, which forces subdivided edges to be
+    used; ties break lexicographically for determinism.
     """
     m = len(cycle)
     if m < 3:
@@ -681,13 +644,7 @@ def _best_cycle_triangulation(cycle, valence):
             right = best(k, j)
             if left is None or right is None:
                 continue
-            cost = (
-                left[0]
-                + right[0]
-                + valence.get(cycle[i], 1)
-                + valence.get(cycle[k], 1)
-                + valence.get(cycle[j], 1)
-            )
+            cost = left[0] + right[0] + weights[i] + weights[k] + weights[j]
             tris = left[2] + right[2] + ((cycle[i], cycle[k], cycle[j]),)
             key = tuple(sorted(tuple(sorted(t)) for t in tris))
             cand = (cost, key, tris)
@@ -796,44 +753,47 @@ def cone_over_boundary(P, boundary_tri):
     return Triangulation.from_blocks(n, [(images, cells)], strategy="cone")
 
 
-def polygon_unimodular_triangulation(Q):
+def polygon_unimodular_triangulation(Q, valence=None):
     """Unimodular triangles covering a 2-dimensional lattice polytope,
     using all of its lattice points as vertices.
 
-    Dilated standard simplices take the alcove cells, boxes the staircase
-    (both keep interior vertex valences at 6); a single interior point is
-    coned; empty polygons go through the cycle DP.
+    The one polygon triangulation, for the 2-dimensional facets of
+    3-polytopes and for the bases of double cones.  Dilated unimodular
+    simplices take the alcove cells, unimodular parallelograms the
+    staircase in their own edge basis (both keep interior vertex valences
+    at 6); a single interior point is coned; empty polygons go through the
+    cycle DP, which weighs each boundary point p by valence(p) (1 when
+    valence is None).  Every triangle is checked for unimodularity.
     """
     verts = Q.vertices
     dilated = _as_dilated_unimodular_simplex(verts) if len(verts) == 3 else None
+    para = _as_parallelogram(verts)
     if dilated is not None:
         m, small = dilated
-        if m == 1:
-            return [small]
-        return [tuple(c) for c in refine_anchored(small, m)]
-    box = _facet_as_aligned_box(Q)
-    if box is not None:
-        _, los, his = box
-        return [tuple(c) for c in _freudenthal_box_cells(los, his)]
-    pts = lattice_points(Q, 1)
-    interior = [p for p in pts if Q.strictly_contains(p)]
-    if len(interior) == 1:
-        center = interior[0]
+        tris = refine_anchored(small, m)
+    elif para is not None:
+        v0, p1, l1, p2, l2 = para
+        tris = [
+            [tuple(a + x * b + y * c for a, b, c in zip(v0, p1, p2)) for x, y in cell]
+            for cell in _freudenthal_box_cells([0, 0], [l1, l2])
+        ]
+    else:
+        pts = lattice_points(Q, 1)
+        interior = [p for p in pts if Q.strictly_contains(p)]
+        if len(interior) > 1:
+            raise NoStrategy("polygon with several interior points")
         cycle = _boundary_cycle(Q, pts)
-        out = []
-        for i in range(len(cycle)):
-            tri = (center, cycle[i], cycle[(i + 1) % len(cycle)])
-            if simplex_relative_volume_times_factorial(tri) != 1:
-                raise NoStrategy("fan triangle not unimodular")
-            out.append(tri)
-        return out
-    if not interior:
-        cycle = _boundary_cycle(Q, pts)
-        tris = _best_cycle_triangulation(cycle, {p: 1 for p in cycle})
-        if tris is None:
-            raise NoStrategy("polygon admits no unimodular triangulation")
-        return [tuple(t) for t in tris]
-    raise NoStrategy("polygon with several interior points")
+        if interior:
+            tris = [(interior[0], a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        else:
+            weights = [1 if valence is None else valence(p) for p in cycle]
+            tris = _best_cycle_triangulation(cycle, weights)
+            if tris is None:
+                raise NoStrategy("empty polygon admits no unimodular triangulation")
+    tris = [tuple(t) for t in tris]
+    if any(simplex_relative_volume_times_factorial(t) != 1 for t in tris):
+        raise NoStrategy("polygon triangulation has a non-unimodular triangle")
+    return tris
 
 
 def _bipyramid_exclusions(Q, tris):
@@ -1073,7 +1033,7 @@ def verify_regular_boundary(P, T, k):
     face_compatible = T.dim < 1 or _ridges_in_pairs(T.cells)
 
     counts = T.incidence()
-    bound = _factorial(n)
+    bound = factorial(n)
     max_inc = max(counts.values()) if counts else 0
     offenders = tuple(sorted(p for p, c in counts.items() if c > bound))
 

@@ -186,6 +186,8 @@ def test_reflexive_cross_check_raises_without_asserts(monkeypatch):
         ([[2]], [1], "facet point outside facet lattice"),
         # the kept first row gives x = 1, which misses the second row
         ([[1], [1]], [1, 2], "facet point off the facet hyperplane"),
+        # one independent row for two unknowns leaves the solution short
+        ([[1, 1]], [1], "facet point system has fewer independent rows than unknowns"),
     ],
 )
 def test_solve_integer_least_raises_without_asserts(cols, target, message):

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,51 @@ def test_scan_sees_every_kind_of_unread_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert _unread_imports(path.read_text()) == []
+
+
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "chowtool").glob("*.py"))
+
+
+def _stranded_private_definitions(sources):
+    """Private module-level functions and classes that no module reads.
+
+    sources maps a module name to its text.  A definition is read when its
+    name is loaded, or taken as an attribute, anywhere outside its own body,
+    so a private helper that only calls itself still counts as stranded.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+
+    def reads(node):
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        )
+
+    total = sum(map(reads, trees.values()), Counter())
+    stranded = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if total[node.name] == reads(node)[node.name]:
+                stranded.append(f"{name}.{node.name}")
+    return sorted(stranded)
+
+
+def test_scan_sees_every_stranded_private_definition():
+    sources = {
+        "a": (
+            "def _used(): pass\ndef _dead(): pass\ndef _recursive(n): return _recursive(n - 1)\n"
+            "class _Dead: pass\ndef public(): pass\ndef __dunder__(): pass\n"
+        ),
+        "b": "from . import a\nfrom .a import _used\n_used()\nx = a._attr_read\ndef _attr_read(): pass\n",
+    }
+    assert _stranded_private_definitions(sources) == ["a._Dead", "a._dead", "a._recursive"]
+
+
+def test_package_reads_every_private_definition():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert _stranded_private_definitions(sources) == []

@@ -14,9 +14,10 @@ from chowtool.geometry import (
     double_cone,
     volume,
     lattice_points,
+    _fan_simplices,
 )
 from chowtool.ehrhart import count
-from chowtool.linalg import det_int
+from chowtool.linalg import det_int, dot
 from chowtool.symmetry import AffineFunctional, fo_invariant
 from chowtool.triangulation import (
     delaunay_triangulation,
@@ -32,7 +33,6 @@ from chowtool.stability import (
     chow_gap,
     affine_pl_function,
     bipyramid_carrier,
-    corner_triangulation,
     scaled_fan_carrier,
     double_cone_cap,
     double_cone_instability,
@@ -303,6 +303,30 @@ def test_classify_products():
 def test_classify_double_cones_of_cubes():
     assert classify(double_cone(cube(6), name="D6c")).status == NOT_SEMISTABLE
     assert classify(double_cone(cube(7), name="D7c")).status == NOT_SEMISTABLE
+
+
+# the identity, rotation by 90 degrees, the coordinate swap, three shears, a
+# negative shear and [[2, 1], [1, 1]]: each maps Z^2 onto itself
+_GL2Z = [
+    ((1, 0), (0, 1)),
+    ((0, -1), (1, 0)),
+    ((0, 1), (1, 0)),
+    ((1, 1), (0, 1)),
+    ((1, 0), (1, 1)),
+    ((1, 2), (0, 1)),
+    ((1, -1), (0, 1)),
+    ((2, 1), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("g", _GL2Z, ids=str)
+@pytest.mark.parametrize("Q", [X3, X4, X6, X8, X9], ids=attrgetter("name"))
+def test_double_cone_verdict_is_invariant_under_gl2z(Q, g):
+    # a lattice-equivalent base is the same toric variety; a sheared X8 is a
+    # unimodular parallelogram and must get the staircase, whose axis meets
+    # 24 cells, not the fan, whose axis meets 32
+    image = Polytope([tuple(dot(row, v) for row in g) for v in Q.vertices])
+    assert classify(double_cone(image)).status == POLYSTABLE
 
 
 def test_classify_fo_witness_not_semistable():
@@ -731,7 +755,7 @@ def _bipyramid_carrier_by_cells(Q):
         steps = [hi - lo for lo, hi in zip(los, his)]
         base = [staircase_chain(los, steps, sigma) for sigma in permutations(range(n))]
     else:
-        base = corner_triangulation(Q)
+        base = list(_fan_simplices(Q))
     cells = []
     for cell in base:
         lifted = [v + (0,) for v in cell]

@@ -17,6 +17,7 @@ from chowtool.geometry import (
     Polytope,
     boundary_volume,
     double_cone,
+    facet_polytope,
     product,
     volume,
     lattice_points,
@@ -280,6 +281,123 @@ def test_polygon_triangulation_strategies():
     # X6 has one interior point: fan
     tris6 = polygon_unimodular_triangulation(X6)
     assert len(tris6) == 6
+    # a sheared X8 is a unimodular parallelogram, no aligned box: the
+    # staircase in its own edge basis, not the 8-triangle fan
+    sheared = polygon_unimodular_triangulation(Polytope([(x + y, y) for x, y in X8.vertices]))
+    assert len(sheared) == 8
+    assert Counter(chain.from_iterable(sheared))[(0, 0)] == 6
+
+
+# ---------------------------------------------------------------------------
+# the facet-only polygon triangulation that polygon_unimodular_triangulation
+# replaced, kept as its oracle on the polygon facets of 3-polytopes
+# ---------------------------------------------------------------------------
+
+
+def _polygon_facet_level1_by_strategies(P, facet):
+    poly, basis, anchor = facet_polytope(P, facet)
+    pts2 = poly.vertices
+    all2 = lattice_points(poly, 1)
+    interior = [p for p in all2 if poly.strictly_contains(p)]
+
+    def back(p2):
+        return tuple(
+            a + sum(b[i] * c for b, c in zip(basis, p2)) for i, a in enumerate(anchor)
+        )
+
+    para = triangulation._as_parallelogram(pts2)
+    if para is not None:
+        v0, p1, l1, p2_, l2 = para
+        cells = []
+        for cell in triangulation._freudenthal_box_cells([0, 0], [l1, l2]):
+            mapped = []
+            for (x, y) in cell:
+                pt = tuple(v0[i] + x * p1[i] + y * p2_[i] for i in range(2))
+                mapped.append(back(pt))
+            cells.append(mapped)
+            if simplex_relative_volume_times_factorial(mapped) != 1:
+                raise NoStrategy("parallelogram strategy produced a bad triangle")
+        return cells
+
+    if len(interior) == 1:
+        center = interior[0]
+        cycle = triangulation._boundary_cycle(poly, all2)
+        tris = []
+        for i in range(len(cycle)):
+            tris.append((center, cycle[i], cycle[(i + 1) % len(cycle)]))
+    elif len(interior) == 0:
+        cycle = triangulation._boundary_cycle(poly, all2)
+        valence = {}
+        for p2 in cycle:
+            amb = back(p2)
+            valence[p2] = sum(1 for f in P.facets if amb in f.vertices)
+        tris = triangulation._best_cycle_triangulation(cycle, [valence[p] for p in cycle])
+        if tris is None:
+            raise NoStrategy("empty polygon facet admits no unimodular triangulation")
+    else:
+        raise NoStrategy("polygon facet with several interior points")
+
+    cells = []
+    for tri in tris:
+        cell = [back(p2) for p2 in tri]
+        cells.append(cell)
+        if simplex_relative_volume_times_factorial(cell) != 1:
+            raise NoStrategy("polygon strategy produced a non-unimodular triangle")
+    return cells
+
+
+def _cell_set(cells):
+    return {tuple(sorted(c)) for c in cells}
+
+
+_CATALOG_3D = [name for name in catalog.list_names() if catalog.get(name).polytope.dim == 3]
+
+
+@pytest.mark.parametrize("name", _CATALOG_3D)
+def test_polygon_facets_match_the_facet_strategy_oracle(name):
+    P = catalog.get(name).polytope
+    polygons = [
+        f
+        for f in P.facets
+        if triangulation._facet_as_dilated_simplex(f) is None
+        and triangulation._facet_as_aligned_box(f) is None
+    ]
+    try:
+        oracle = {f.normal: _cell_set(_polygon_facet_level1_by_strategies(P, f)) for f in polygons}
+    except NoStrategy:
+        with pytest.raises(NoStrategy):
+            level1_boundary(P)
+        return
+    got = {f.normal: _cell_set(cells) for f, cells, _ in level1_boundary(P)}
+    assert {normal: got[normal] for normal in oracle} == oracle
+
+
+_BOX_FACETED = [
+    name
+    for name in catalog.list_names()
+    if catalog.get(name).polytope.dim <= 4
+    and any(map(triangulation._facet_as_aligned_box, catalog.get(name).polytope.facets))
+]
+
+
+@pytest.mark.parametrize("name", _BOX_FACETED)
+def test_box_facet_staircase_is_the_alcove_refinement_of_level1(name):
+    # boundary_triangulation staircases k times a box facet directly; that is
+    # the alcove refinement of the box's level-1 staircase cells, so box
+    # facets keep the stratum law of every other facet
+    P = catalog.get(name).polytope
+    for k in range(1, 4):
+        T = boundary_triangulation(P, k)
+        refined = Triangulation.from_blocks(
+            P.dim - 1,
+            [
+                triangulation._alcove_block(sorted(cell), k)
+                for _, cells, _ in level1_boundary(P)
+                for cell in cells
+            ],
+        )
+        assert T.points == refined.points
+        assert T.cells == refined.cells
 
 
 def test_no_strategy_for_unsupported_facets():
