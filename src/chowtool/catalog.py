@@ -11,10 +11,11 @@ though its corner-cut facets sit at lattice distance 2 (so it is not
 reflexive and cannot be the polar dual of P3_blowup4_dual); the discrepancy
 is recorded on the entry.
 
-Entries are registered as builders at import and constructed on their first
-``get``, then memoised, so importing the package or the CLI builds no
-polytope; ``entries()`` builds them all.  Shared pieces (the cubes, the
-polygons, the A_n) are built once and reused by every entry made from them.
+Entries are registered as builders, with their dimension, at import and
+constructed on their first ``get``, then memoised, so importing the package
+or the CLI builds no polytope and neither does ``listing()``; ``entries()``
+builds them all.  Shared pieces (the cubes, the polygons, the A_n) are built
+once and reused by every entry made from them.
 """
 
 from dataclasses import dataclass
@@ -84,15 +85,15 @@ def _two_dim(name):
     return Polytope(_TWO_DIM_VERTICES[name], name=name)
 
 
-# name -> (zero-argument polytope builder, notes, expected); filled at import
+# name -> (zero-argument polytope builder, dim, notes, expected); filled at import
 _BUILDERS = {}
 # name -> CatalogEntry, filled by get()
 _ENTRIES = {}
 
 
 def _register():
-    def add(name, build, notes="", **expected):
-        _BUILDERS[name] = (build, notes, MappingProxyType(dict(expected)))
+    def add(name, dim, build, notes="", **expected):
+        _BUILDERS[name] = (build, dim, notes, MappingProxyType(dict(expected)))
 
     label_note = (
         "text naming: X8 = square (P1 x P1), X9 = triangle (P2); one figure "
@@ -101,6 +102,7 @@ def _register():
     for name in _TWO_DIM_VERTICES:
         add(
             name,
+            2,
             lambda name=name: _two_dim(name),
             notes=label_note if name in ("X8", "X9") else "",
             reflexive=True,
@@ -114,6 +116,7 @@ def _register():
         special = name not in ("X8", "X9")
         add(
             f"D_{name}",
+            3,
             lambda name=name: double_cone(_two_dim(name)),
             reflexive=True,
             symmetric=True,
@@ -125,6 +128,7 @@ def _register():
     for name in _TWO_DIM_VERTICES:
         add(
             f"{name}_x_segment",
+            3,
             lambda name=name: product(_two_dim(name), _SEG),
             reflexive=True,
             symmetric=True,
@@ -135,6 +139,7 @@ def _register():
     for n in range(2, 6):
         add(
             f"A{n}",
+            n,
             lambda n=n: _a_poly(n),
             notes="A2 coincides with X3" if n == 2 else "",
             reflexive=True,
@@ -150,29 +155,30 @@ def _register():
             expected.update(special=True, verdict="polystable")
         if n <= 5:
             expected["weakly_symmetric"] = True
-        add(f"D{n}", lambda n=n: _cross(n), **expected)
+        add(f"D{n}", n, lambda n=n: _cross(n), **expected)
 
     for n in range(1, 8):
         expected = dict(reflexive=True, symmetric=True, verdict="polystable")
         if n <= 4:
             expected["special"] = True
             expected["weakly_symmetric"] = True
-        add(f"cube{n}", lambda n=n: _cube(n), **expected)
+        add(f"cube{n}", n, lambda n=n: _cube(n), **expected)
 
     for n in range(2, 6):
         expected = dict(reflexive=True, symmetric=True)
         if n <= 4:
             expected.update(weakly_symmetric=True, special=True, verdict="polystable")
-        add(f"simplexPn{n}", lambda n=n: _simplex_pn(n), **expected)
+        add(f"simplexPn{n}", n, lambda n=n: _simplex_pn(n), **expected)
 
     for n in (5, 6, 7):
         expected = {"doublecone_test": "inconclusive" if n <= 5 else "not_semistable"}
         if n >= 6:
             expected["verdict"] = "not_semistable"
-        add(f"cube{n}_doublecone", lambda n=n: double_cone(_cube(n)), **expected)
+        add(f"cube{n}_doublecone", n + 1, lambda n=n: double_cone(_cube(n)), **expected)
 
     add(
         "P3_blowup4",
+        3,
         lambda: Polytope(
             [
                 (0, -1, -1),
@@ -199,6 +205,7 @@ def _register():
     )
     add(
         "P3_blowup4_dual",
+        3,
         lambda: Polytope(
             [
                 (1, 0, 0),
@@ -223,6 +230,7 @@ def _register():
     )
     add(
         "cuboctahedron",
+        3,
         lambda: Polytope(
             [
                 (1, 0, 0),
@@ -247,6 +255,7 @@ def _register():
     )
     add(
         "rhombic_dodecahedron",
+        3,
         lambda: Polytope(
             [
                 (1, 0, 0),
@@ -277,6 +286,7 @@ def _register():
     )
     add(
         "P3modZ4",
+        3,
         lambda: Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]),
         notes="same vertex set as A3",
         reflexive=True,
@@ -308,7 +318,7 @@ def get(name):
     entry = _ENTRIES.get(name)
     if entry is None:
         try:
-            build, notes, expected = _BUILDERS[name]
+            build, _, notes, expected = _BUILDERS[name]
         except KeyError:
             raise UnknownName(name) from None
         entry = CatalogEntry(
@@ -321,6 +331,11 @@ def get(name):
 def list_names():
     """All registered names in deterministic order (builds nothing)."""
     return sorted(_BUILDERS)
+
+
+def listing():
+    """(name, dim, expected) of every registered entry in name order (builds nothing)."""
+    return [(name, _BUILDERS[name][1], _BUILDERS[name][3]) for name in list_names()]
 
 
 def entries():

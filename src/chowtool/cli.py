@@ -10,29 +10,15 @@ import argparse
 import os
 import sys
 
+from . import catalog as _catalog, ehrhart, jsonio, stability, symmetry, toricgen, triangulation
 from .errors import ChowToolError, ParseError, UnknownName
-from . import catalog as _catalog
-from .ehrhart import count, ehrhart_polynomial
-from .symmetry import automorphisms, is_symmetric, is_weakly_symmetric
-from .triangulation import boundary_triangulation, full_triangulation, verify_regular_boundary
-from .stability import classify, falsify, INCONCLUSIVE
-from .toricgen import render_equations, binomial_equations, KERNEL_BASIS_NOTE
-from .jsonio import (
-    load_polytope,
-    load_triangulation,
-    polytope_to_json,
-    verdict_to_json,
-    dump_json,
-    fraction_str,
-    render_svg,
-)
 
 
 def _load_input(spec):
     if spec.startswith("catalog:"):
         return _catalog.get(spec[len("catalog:") :]).polytope
     if os.path.exists(spec):
-        return load_polytope(spec)
+        return jsonio.load_polytope(spec)
     try:
         return _catalog.get(spec).polytope
     except UnknownName:
@@ -42,9 +28,9 @@ def _load_input(spec):
 def cmd_analyze(args):
     P = _load_input(args.input)
     kmax = args.kmax if args.kmax is not None else P.dim + 3
-    verdict = classify(P, k_max=kmax)
+    verdict = stability.classify(P, k_max=kmax)
     if args.json:
-        print(dump_json(verdict_to_json(P, verdict)))
+        print(jsonio.dump_json(jsonio.verdict_to_json(P, verdict)))
     else:
         print(f"{P.name or args.input}: {verdict.status}")
         for c in verdict.checks:
@@ -55,20 +41,20 @@ def cmd_analyze(args):
         if verdict.certificate is not None:
             c = verdict.certificate
             print(f"  certificate: {c.kind} at k = {c.k}, gap = {c.gap}")
-    return 2 if verdict.status == INCONCLUSIVE else 0
+    return 2 if verdict.status == stability.INCONCLUSIVE else 0
 
 
 def cmd_ehrhart(args):
     P = _load_input(args.input)
-    poly = ehrhart_polynomial(P)
+    poly = ehrhart.ehrhart_polynomial(P)
     kmax = args.kmax if args.kmax is not None else P.dim + 3
-    table = [(k, count(P, k)) for k in range(kmax + 1)]
+    table = [(k, ehrhart.count(P, k)) for k in range(kmax + 1)]
     if args.json:
         print(
-            dump_json(
+            jsonio.dump_json(
                 {
-                    "polytope": polytope_to_json(P),
-                    "coefficients": [fraction_str(c) for c in poly.coefficients],
+                    "polytope": jsonio.polytope_to_json(P),
+                    "coefficients": [jsonio.fraction_str(c) for c in poly.coefficients],
                     "counts": {str(k): int(v) for k, v in table},
                 }
             )
@@ -82,9 +68,9 @@ def cmd_ehrhart(args):
 
 def cmd_symmetry(args):
     P = _load_input(args.input)
-    auts = automorphisms(P)
-    sym = is_symmetric(P)
-    weakly, evidence = is_weakly_symmetric(P)
+    auts = symmetry.automorphisms(P)
+    sym = symmetry.is_symmetric(P)
+    weakly, evidence = symmetry.is_weakly_symmetric(P)
     data = {
         "order": len(auts),
         "is_symmetric": sym,
@@ -94,10 +80,10 @@ def cmd_symmetry(args):
         data["fo_witness"] = {
             "coordinate": evidence.coordinate,
             "k": evidence.k,
-            "value": fraction_str(evidence.value),
+            "value": jsonio.fraction_str(evidence.value),
         }
     if args.json:
-        print(dump_json({"polytope": polytope_to_json(P), **data}))
+        print(jsonio.dump_json({"polytope": jsonio.polytope_to_json(P), **data}))
     else:
         print(f"automorphism group order: {len(auts)}")
         print(f"symmetric: {sym}")
@@ -110,15 +96,15 @@ def cmd_symmetry(args):
 def cmd_triangulate(args):
     P = _load_input(args.input)
     k = args.k
-    user = load_triangulation(args.triangulation) if args.triangulation else None
+    user = jsonio.load_triangulation(args.triangulation) if args.triangulation else None
     if args.boundary or user is not None:
-        T = boundary_triangulation(P, k, user=user)
-        report = verify_regular_boundary(P, T, k)
+        T = triangulation.boundary_triangulation(P, k, user=user)
+        report = triangulation.verify_regular_boundary(P, T, k)
         payload = {
-            "polytope": polytope_to_json(P),
+            "polytope": jsonio.polytope_to_json(P),
             "dilation": k,
             "cells": len(T),
-            "relative_volume": fraction_str(T.relative_volume()),
+            "relative_volume": jsonio.fraction_str(T.relative_volume()),
             "regular": report.regular,
             "max_incidence": report.max_incidence,
             "incidence_bound": report.incidence_bound,
@@ -128,35 +114,35 @@ def cmd_triangulate(args):
             "offenders": [list(p) for p in report.offenders],
         }
         if args.json:
-            print(dump_json(payload))
+            print(jsonio.dump_json(payload))
         else:
             print(report.summary())
             print(f"  coverage: {report.coverage_ok}, unimodular: {report.all_unimodular}")
             if report.offenders:
                 print(f"  offenders: {list(report.offenders)[:6]}")
     else:
-        T = full_triangulation(P, k)
+        T = triangulation.full_triangulation(P, k)
         payload = {
-            "polytope": polytope_to_json(P),
+            "polytope": jsonio.polytope_to_json(P),
             "dilation": k,
             "cells": len(T),
-            "relative_volume": fraction_str(T.relative_volume()),
+            "relative_volume": jsonio.fraction_str(T.relative_volume()),
         }
         if args.json:
-            print(dump_json(payload))
+            print(jsonio.dump_json(payload))
         else:
-            print(f"{len(T)} cells, total volume {fraction_str(T.relative_volume())}")
+            print(f"{len(T)} cells, total volume {jsonio.fraction_str(T.relative_volume())}")
     return 0
 
 
 def cmd_equations(args):
     P = _load_input(args.input)
     if args.json:
-        pts, eqs = binomial_equations(P)
+        pts, eqs = toricgen.binomial_equations(P)
         print(
-            dump_json(
+            jsonio.dump_json(
                 {
-                    "note": KERNEL_BASIS_NOTE,
+                    "note": toricgen.KERNEL_BASIS_NOTE,
                     "points": [list(p) for p in pts],
                     "equations": [e.render() for e in eqs],
                     "z0_powers": [e.z0_power for e in eqs],
@@ -164,36 +150,36 @@ def cmd_equations(args):
             )
         )
     else:
-        print(render_equations(P, name=args.input))
+        print(toricgen.render_equations(P, name=args.input))
     return 0
 
 
 def cmd_catalog(args):
     if args.action == "list":
         rows = []
-        for entry in _catalog.entries():
-            props = ", ".join(f"{k}={v}" for k, v in sorted(entry.expected.items()))
-            rows.append({"name": entry.name, "dim": entry.polytope.dim, "expected": props})
+        for name, dim, expected in _catalog.listing():
+            props = ", ".join(f"{k}={v}" for k, v in sorted(expected.items()))
+            rows.append({"name": name, "dim": dim, "expected": props})
         if args.json:
-            print(dump_json(rows))
+            print(jsonio.dump_json(rows))
         else:
             for row in rows:
                 print(f"{row['name']:24s} dim {row['dim']}  {row['expected']}")
         return 0
     entry = _catalog.get(args.name)
     if args.svg:
-        svg = render_svg(entry.polytope)
+        svg = jsonio.render_svg(entry.polytope)
         with open(args.svg, "w") as fh:
             fh.write(svg)
         print(f"wrote {args.svg}")
         return 0
     payload = {
-        "polytope": polytope_to_json(entry.polytope),
+        "polytope": jsonio.polytope_to_json(entry.polytope),
         "expected": dict(entry.expected),
         "notes": entry.notes,
     }
     if args.json:
-        print(dump_json(payload))
+        print(jsonio.dump_json(payload))
     else:
         print(entry.name, "dim", entry.polytope.dim)
         print("vertices:", [list(v) for v in entry.polytope.vertices])
@@ -206,14 +192,17 @@ def cmd_catalog(args):
 
 def cmd_falsify(args):
     P = _load_input(args.input)
-    cert = falsify(P, args.k)
+    cert = stability.falsify(P, args.k)
     if cert is None:
         print(f"no violation found at k = {args.k} (LP optimum <= 0)")
         return 0
     print(f"master inequality violated at k = {args.k}: gap = {cert.gap}")
     if args.json:
-        values = [[list(p), fraction_str(v)] for p, v in sorted(cert.function.values.items())]
-        print(dump_json({"k": args.k, "gap": fraction_str(cert.gap), "values": values}))
+        values = [
+            [list(p), jsonio.fraction_str(v)] for p, v in sorted(cert.function.values.items())
+        ]
+        gap = jsonio.fraction_str(cert.gap)
+        print(jsonio.dump_json({"k": args.k, "gap": gap, "values": values}))
     return 0
 
 

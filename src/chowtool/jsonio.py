@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .geometry import Polytope, adjacent_vertices
 from .linalg import simplex_relative_volume_times_factorial
-from .triangulation import Triangulation, cell_blocks
+from . import triangulation
 
 
 def _require_int(x, where):
@@ -83,7 +83,9 @@ def triangulation_from_json(data):
     dim = len(simplices[0]) - 1
     if "dim" in data and _require_int(data["dim"], "dim") != dim:
         raise ParseError(f"dim = {data['dim']} does not match the simplex dimension {dim}")
-    return Triangulation.from_blocks(dim, cell_blocks(simplices), strategy="user")
+    return triangulation.Triangulation.from_blocks(
+        dim, triangulation.cell_blocks(simplices), strategy="user"
+    )
 
 
 def load_triangulation(path):

@@ -55,16 +55,26 @@ def test_import_builds_no_entry():
     src = os.path.dirname(os.path.dirname(chowtool.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
+        "import contextlib, io\n"
         "import chowtool.cli\n"
         "from chowtool import catalog\n"
         "caches = (catalog._cube_chain, catalog._cube, catalog._a_poly, catalog._two_dim)\n"
         "print(len(catalog._ENTRIES), sum(c.cache_info().currsize for c in caches),"
         " len(catalog.list_names()), len(catalog._ENTRIES))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as listing:\n"
+        "    chowtool.cli.main(['catalog', 'list'])\n"
+        "print(len(listing.getvalue().splitlines()), len(catalog._ENTRIES),"
+        " sum(c.cache_info().currsize for c in caches))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["0", "0", str(len(catalog.list_names())), "0"]
+    n = str(len(catalog.list_names()))
+    assert out.stdout.split() == ["0", "0", n, "0", n, "0", "0"]
+
+
+def test_listing_matches_the_built_entries():
+    assert catalog.listing() == [(e.name, e.polytope.dim, e.expected) for e in catalog.entries()]
 
 
 def test_get_memoises_entries():
