@@ -54,13 +54,20 @@ def polytope_to_json(P):
     }
 
 
+def _load_json(path):
+    """The JSON value in the file at path; a file that cannot be read, is
+    not UTF-8 or is not JSON is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def load_polytope(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return polytope_from_json(data)
+    return polytope_from_json(_load_json(path))
 
 
 def triangulation_from_json(data):
@@ -89,12 +96,7 @@ def triangulation_from_json(data):
 
 
 def load_triangulation(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return triangulation_from_json(data)
+    return triangulation_from_json(_load_json(path))
 
 
 def fraction_str(x):

@@ -659,13 +659,14 @@ def check_special(P, k_max=None):
     maxima = []
     for k in range(1, k_max + 1):
         try:
-            T = boundary_triangulation(P, k)
+            # the table of kP is bound to no name, so it is freed with its
+            # report, before the table of (k+1)P is built
+            report = verify_regular_boundary(P, boundary_triangulation(P, k), k)
         except NoStrategy as exc:
             checks.append(
                 Check.make("regular boundary", False, detail=f"no strategy: {exc}")
             )
             return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-        report = verify_regular_boundary(P, T, k)
         maxima.append(report.max_incidence)
         if not report.regular:
             checks.append(
@@ -725,53 +726,19 @@ def check_sufficient(P, k_max=None):
     if not ws_check.passed:
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     bound = factorial(n + 1)
-    origin = (0,) * n
     worst = None
     apex_like = None  # the point with the largest boundary incidence
     for k in range(1, k_max + 1):
         try:
-            full = full_triangulation(P, k)
-            bdry = boundary_triangulation(P, k)
+            failed, worst, apex_like = _incidence_margins(P, k, worst, apex_like)
         except (NoStrategy, NotReflexive) as exc:
             checks.append(
                 Check.make("incidence criterion", False, detail=f"no strategy: {exc}")
             )
             return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-        n_counts = full.incidence()
-        m_counts = bdry.incidence()
-        for p, c in n_counts.items():
-            if p == origin:
-                continue
-            if c > bound:
-                checks.append(
-                    Check.make(
-                        "interior incidence",
-                        False,
-                        detail=f"n({p};{k}) = {c} > (n+1)! = {bound}",
-                    )
-                )
-                return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-        for p, m in m_counts.items():
-            np_ = n_counts[p]
-            lhs = Fraction(n, 2) * m
-            rhs = bound - np_
-            margin = rhs - lhs
-            if worst is None or margin < worst[0]:
-                worst = (margin, p, k, np_, m)
-            if apex_like is None or (m, p) > (apex_like[4], apex_like[1]):
-                apex_like = (margin, p, k, np_, m)
-            if lhs >= rhs:
-                checks.append(
-                    Check.make(
-                        "boundary incidence",
-                        False,
-                        detail=(
-                            f"(n/2) m(p;k) = {lhs} not < (n+1)! - n(p;k) = {rhs} "
-                            f"at p = {p}, k = {k}"
-                        ),
-                    )
-                )
-                return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
+        if failed is not None:
+            checks.append(failed)
+            return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     margin, p, k, np_, m = worst
     data = dict(
         worst_point=p,
@@ -799,6 +766,52 @@ def check_sufficient(P, k_max=None):
         )
     )
     return StabilityVerdict(POLYSTABLE, checks, polytope_name=P.name)
+
+
+def _incidence_margins(P, k, worst, apex_like):
+    """check_sufficient at dilation k: (failed check or None, worst, apex_like).
+
+    worst and apex_like, each (margin, p, k, n(p;k), m(p;k)) or None, are
+    the smallest margin and the largest (m, p) of the dilations before k;
+    they come back updated with k's points.  The full and boundary tables of
+    kP are bound to no name and their counts are local to this call, so
+    none of them is alive while the next dilation's tables are built.
+    """
+    n = P.dim
+    bound = factorial(n + 1)
+    origin = (0,) * n
+    n_counts = full_triangulation(P, k).incidence()
+    m_counts = boundary_triangulation(P, k).incidence()
+    for p, c in n_counts.items():
+        if p == origin:
+            continue
+        if c > bound:
+            failed = Check.make(
+                "interior incidence",
+                False,
+                detail=f"n({p};{k}) = {c} > (n+1)! = {bound}",
+            )
+            return failed, worst, apex_like
+    for p, m in m_counts.items():
+        np_ = n_counts[p]
+        lhs = Fraction(n, 2) * m
+        rhs = bound - np_
+        margin = rhs - lhs
+        if worst is None or margin < worst[0]:
+            worst = (margin, p, k, np_, m)
+        if apex_like is None or (m, p) > (apex_like[4], apex_like[1]):
+            apex_like = (margin, p, k, np_, m)
+        if lhs >= rhs:
+            failed = Check.make(
+                "boundary incidence",
+                False,
+                detail=(
+                    f"(n/2) m(p;k) = {lhs} not < (n+1)! - n(p;k) = {rhs} "
+                    f"at p = {p}, k = {k}"
+                ),
+            )
+            return failed, worst, apex_like
+    return None, worst, apex_like
 
 
 # ---------------------------------------------------------------------------

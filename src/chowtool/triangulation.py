@@ -31,6 +31,12 @@ Refined and staircase cells come in few shapes up to translation and
 permutation of the coordinates, neither of which changes a cell's volume,
 so a triangulation computes its volumes once per distinct edge matrix up to
 column order (Triangulation.volumes); verification still checks every cell.
+Translates are found by one int per cell: each point of the table is packed
+once into an int, in a radix wide enough that the difference of two packed
+points is a balanced-digit code of their edge, and a cell's key is its
+packed edges as the digits of a larger radix (_packed_cell_keys), so the
+pass holds one int per translate class, not a tuple of every edge
+coordinate.
 
 The ridge condition of verify_regular_boundary is counted chunk by chunk
 (_ridges_in_pairs): a ridge is counted in the chunk that covers its least
@@ -162,6 +168,39 @@ def _point_table(blocks):
     return points, tuple(out)
 
 
+def _packed_cell_keys(points, cells):
+    """One int per cell, equal for two cells iff their edge matrices are.
+
+    With span the largest spread of one coordinate over points and R =
+    2 span + 1, each point x is packed once as sum_j x_j R^j.  An edge
+    coordinate lies in [-span, span], so the difference of two packed points
+    is the edge read as balanced base-R digits, which it determines, and it
+    lies strictly between -R^n/2 and R^n/2.  A cell c is keyed by
+    sum_i (packed[c_i] - packed[c_0]) S^(i-1) with S = 2 R^n + 1: two keys
+    that differ first in the i-th edge differ there by less than S, so they
+    are unequal.  The keys come lazily, at C level; raises ValueError when
+    the points or the cells are of mixed length, which the weights, made
+    for one length, would silently truncate.
+    """
+    if len(set(map(len, points))) > 1 or len(set(map(len, cells))) > 1:
+        raise ValueError("a point table with points or cells of mixed length")
+    if not cells:
+        return iter(())
+    n = len(points[0])
+    span = max((max(column) - min(column) for column in zip(*points)), default=0)
+    radix = [(2 * span + 1) ** j for j in range(n + 1)]
+    packed = list(map(sum, map(map, repeat(mul), points, repeat(radix))))
+    s = 2 * radix[n] + 1
+    powers = [s**i for i in range(len(cells[0]) - 1)]
+    # packed[c_0] weighs minus the sum of the other vertices' weights
+    weights = [-sum(powers)] + powers
+    # sum(map(mul, map(packed.__getitem__, c), weights)) for each cell c
+    return map(
+        sum,
+        map(map, repeat(mul), map(map, repeat(packed.__getitem__), cells), repeat(weights)),
+    )
+
+
 @dataclass(init=False)
 class Triangulation:
     """A finite set of lattice simplices of equal dimension.
@@ -218,35 +257,34 @@ class Triangulation:
         """d! times each cell's relative volume, aligned with cells.
 
         A cell's volume depends only on its edge matrix, and two memos, both
-        local to this one pass, share it between cells (whose vertices lie
-        in one ambient space).  The first key is the flat edge matrix, the
-        edges from the first vertex as one tuple of coordinates: translates
-        of a sorted cell share it, and it is built without a tuple per edge.
-        Only on a miss is the second key built, the edge matrix's columns
-        (strided slices of the flat key) in sorted order: permuting the
-        coordinates permutes the columns, which permutes the maximal minors
-        up to sign and so keeps the volume.  The kernel runs once per
-        distinct second key, on the edge matrix with its columns sorted.
+        local to this one pass, share it between cells.  The first key is
+        one int per cell that determines its edge matrix (_packed_cell_keys),
+        so translates of a sorted cell share it.  Only on a miss is the
+        second key built, the edge matrix's columns in sorted order:
+        permuting the coordinates permutes the columns, which permutes the
+        maximal minors up to sign and so keeps the volume.  The kernel runs
+        once per distinct second key, on the edge matrix with its columns
+        sorted.
         """
         if self._volumes is None:
             get = self.points.__getitem__
-            flat_memo = {}
+            by_key = {}
             memo = {}
             out = []
-            for cell in self.cells:
-                first = get(cell[0])
-                # every later vertex minus the first, coordinate by coordinate
-                flat = tuple(
-                    map(sub, chain.from_iterable(map(get, cell[1:])), first * (len(cell) - 1))
-                )
-                vol = flat_memo.get(flat)
+            for cell, key in zip(self.cells, _packed_cell_keys(self.points, self.cells)):
+                vol = by_key.get(key)
                 if vol is None:
+                    first = get(cell[0])
                     n = len(first)
-                    key = tuple(sorted([flat[j::n] for j in range(n)]))
-                    vol = memo.get(key)
+                    # every later vertex minus the first, coordinate by coordinate
+                    flat = tuple(
+                        map(sub, chain.from_iterable(map(get, cell[1:])), first * (len(cell) - 1))
+                    )
+                    columns = tuple(sorted([flat[j::n] for j in range(n)]))
+                    vol = memo.get(columns)
                     if vol is None:
-                        vol = memo[key] = edge_matrix_volume_times_factorial(tuple(zip(*key)))
-                    flat_memo[flat] = vol
+                        vol = memo[columns] = edge_matrix_volume_times_factorial(tuple(zip(*columns)))
+                    by_key[key] = vol
                 out.append(vol)
             self._volumes = tuple(out)
         return self._volumes

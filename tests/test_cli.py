@@ -112,6 +112,32 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+def test_directory_as_input_is_an_input_error(capsys, tmp_path):
+    # the CLI's file check passes for a directory, which open() then refuses
+    code, out, err = run(capsys, "analyze", str(tmp_path))
+    assert code == 1
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+    assert out == ""
+
+
+def test_missing_triangulation_file_is_an_input_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "triangulate", "X6", "--triangulation", str(missing))
+    assert code == 1
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+    assert out == ""
+
+
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for argv in (["analyze", str(bad)], ["triangulate", "X6", "--triangulation", str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: invalid JSON in {bad}: 'utf-8' codec") and err.count("\n") == 1
+        assert out == ""
+
+
 def test_json_round_trip():
     for name in ("X6", "D_X8", "cuboctahedron"):
         P = catalog.get(name).polytope

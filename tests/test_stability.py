@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import factorial
@@ -823,6 +824,29 @@ def test_bipyramid_locate_matches_fraction_oracle(Q):
         weights = locate(p)
         assert weights == _box_locate_by_fractions(Q, p)
         assert all(type(w) is Fraction for _, w in weights)
+
+
+@pytest.mark.parametrize("entry", [check_special, check_sufficient])
+def test_no_earlier_dilation_table_is_alive_when_the_next_is_built(entry, monkeypatch):
+    from chowtool import catalog, stability
+
+    built = []
+
+    def recording(builder):
+        def build(P, k):
+            alive = [j for j, table in built if j < k and table() is not None]
+            assert not alive, f"tables of dilations {alive} alive when k = {k} is built"
+            T = builder(P, k)
+            built.append((k, weakref.ref(T)))
+            return T
+
+        return build
+
+    for name in ("boundary_triangulation", "full_triangulation"):
+        monkeypatch.setattr(stability, name, recording(getattr(stability, name)))
+    verdict = entry(catalog.get("D_X4").polytope)
+    assert verdict.status == POLYSTABLE
+    assert sorted({k for k, _ in built}) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("k_max", [0, -2])

@@ -650,6 +650,104 @@ def test_volumes_share_one_kernel_call_across_staircase_orders():
     assert calls == 1
 
 
+def _volumes_by_flat_memo(T):
+    """The flat-tuple first level that packed cell keys replaced in
+    Triangulation.volumes, kept as its oracle: each cell keyed by its edges
+    from the first vertex as one tuple of coordinates."""
+    get = T.points.__getitem__
+    flat_memo = {}
+    memo = {}
+    out = []
+    for cell in T.cells:
+        first = get(cell[0])
+        flat = tuple(map(sub, chain.from_iterable(map(get, cell[1:])), first * (len(cell) - 1)))
+        vol = flat_memo.get(flat)
+        if vol is None:
+            n = len(first)
+            key = tuple(sorted([flat[j::n] for j in range(n)]))
+            vol = memo.get(key)
+            if vol is None:
+                vol = memo[key] = triangulation.edge_matrix_volume_times_factorial(tuple(zip(*key)))
+            flat_memo[flat] = vol
+        out.append(vol)
+    return tuple(out)
+
+
+@st.composite
+def _wide_tables(draw):
+    """Cells of dimension d <= n <= 8 with coordinates up to 10^6 in size: a
+    few shapes, each also with one coordinate of its last vertex moved by 1
+    (edge matrices one entry apart), each at several translations."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(0, n))
+    half = 5 * 10**5
+    point = st.tuples(*[st.integers(-half, half)] * n)
+    shapes = draw(st.lists(st.lists(point, min_size=d + 1, max_size=d + 1), min_size=1, max_size=3))
+    j = draw(st.integers(0, n - 1))
+    step = draw(st.sampled_from((-1, 1)))
+    shapes += [v[:-1] + [v[-1][:j] + (v[-1][j] + step,) + v[-1][j + 1 :]] for v in shapes]
+    shifts = draw(st.lists(point, min_size=1, max_size=4, unique=True))
+    return d, [make_simplex(_translate(v, t)) for v in shapes for t in shifts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_tables())
+def test_volumes_match_the_cell_oracle_on_wide_coordinates(case):
+    d, cells = case
+    T = Triangulation(dim=d, simplices=tuple(cells))
+    expected = tuple(simplex_relative_volume_times_factorial(s.vertices) for s in T.simplices)
+    assert T.volumes() == expected
+    assert _volumes_by_flat_memo(T) == expected
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+def test_volumes_of_every_simplex_in_a_small_box(n, d):
+    # every d-simplex, degenerate ones too, on the points of {0, 1, 2}^n:
+    # the edge coordinates reach both ends of [-span, span], and keys that
+    # would collide across radix digits are all present
+    box = list(iproduct(range(3), repeat=n))
+    T = Triangulation(dim=d, simplices=tuple(map(make_simplex, combinations(box, d + 1))))
+    expected = tuple(simplex_relative_volume_times_factorial(s.vertices) for s in T.simplices)
+    assert T.volumes() == expected
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # sorted, the segment comes first; weights made for its one edge
+        # would key the triangle by that edge alone and give it volume 1
+        [[(0, 0), (0, 1)], [(0, 0), (0, 1), (2, 0)]],
+        [[(0,), (1, 0)]],
+    ],
+    ids=["cells", "points"],
+)
+def test_volumes_refuse_a_table_of_mixed_length(cells):
+    T = Triangulation(dim=1, simplices=tuple(map(make_simplex, cells)))
+    with pytest.raises(ValueError, match="mixed length"):
+        T.volumes()
+
+
+def test_volumes_of_the_cube7_carrier_peak_under_a_quarter_of_the_flat_memo():
+    from chowtool.stability import bipyramid_carrier
+
+    seg = Polytope([(-1,), (1,)])
+    cube7 = reduce(product, [seg] * 7)
+    T, _ = bipyramid_carrier(cube7)
+    assert len(T) == 10080  # the 7! staircase cells of [-1, 1]^7, once per apex
+
+    def peak(volumes):
+        T._volumes = None
+        tracemalloc.start()
+        try:
+            volumes(T)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(Triangulation.volumes) < peak(_volumes_by_flat_memo) / 4
+    assert T.volumes() == _volumes_by_flat_memo(T)
+
+
 def test_verify_counts_a_dilated_cell_as_nonunimodular():
     C = _cube4()
     B = boundary_triangulation(C, 2)
