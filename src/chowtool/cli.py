@@ -98,7 +98,7 @@ def cmd_triangulate(args):
     k = args.k
     user = jsonio.load_triangulation(args.triangulation) if args.triangulation else None
     if args.boundary or user is not None:
-        T = triangulation.boundary_triangulation(P, k, user=user)
+        T = user if user is not None else triangulation.boundary_triangulation(P, k)
         report = triangulation.verify_regular_boundary(P, T, k)
         payload = {
             "polytope": jsonio.polytope_to_json(P),
@@ -276,9 +276,6 @@ def main(argv=None):
         # exit raises nothing, and report failure
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 1
-    except (ParseError, UnknownName) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ChowToolError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,14 +4,16 @@ Everything here works on plain Python ints and fractions.Fraction; sizes are
 desk scale (n <= 8), so clarity wins over asymptotics.  The vector kernels
 dot, vec_add, vec_sub, matvec and matmul are map-based, sum(map(mul, a, b))
 and tuple(map(add, a, b)), so the per-entry loop runs at C level; they give
-the same values and types as the generator forms.  Determinant, rank,
-independent-row selection, solve and cross_normal are fraction-free
-(elimination on ints): rank, row selection and solve scale each rational
-row by the lcm of its denominators first; solve_int returns the solution as
-ints over one denominator and solve_rational builds one Fraction per
-unknown from it; cross_normal reads every maximal minor off one
-Gauss-Jordan pass.  The inverse is the integer adjugate over the
-determinant.
+the same values and types as the generator forms.
+
+Elimination is fraction-free (Bareiss), on rows scaled to ints by the lcm of
+their denominators.  One Gauss-Jordan pass, _gauss_jordan, has four readers:
+independent_rows takes the pivot columns of the transposed rows,
+rank_rational counts them, solve_int reads D x off the last column of
+[A | b], and cross_normal reads every maximal minor off the free column.
+det_int keeps a forward-only loop, as clearing above the pivots too costs
+about three times as much on the catalog's determinants.  The inverse is
+the integer adjugate over the determinant.
 """
 
 from fractions import Fraction
@@ -99,33 +101,27 @@ def adjugate(rows):
     )
 
 
-def cross_normal(vectors):
-    """Integer normal to n-1 independent integer vectors in Z^n.
+def _gauss_jordan(a):
+    """Fraction-free Gauss-Jordan elimination on a list of int lists, in place.
 
-    Component k is (-1)^k times the minor obtained by deleting column k;
-    the result is orthogonal to every input vector and is zero when the
-    vectors are dependent.  One fraction-free Gauss-Jordan pass finds every
-    minor at once: with pivots in all columns but the free one f, the pivot
-    block reads D times the identity, where D is the minor without column f
-    (up to the sign of the row swaps), and the free column holds the other
-    components of the kernel vector scaled by D.
+    Columns are taken left to right, one without a pivot is skipped, and the
+    pass stops once every row holds one.  Returns (pivots, sign, D): the
+    pivot columns, the sign of the row swaps and the last pivot (1 if none).
+    Row i < len(pivots) then reads D in column pivots[i] and 0 in the other
+    pivot columns, and every later row is zero.  Entries stay minors of the
+    input, so each division by the previous pivot is exact; a square
+    nonsingular input has determinant sign * D.
     """
-    a = [list(v) for v in vectors]
     m = len(a)
-    n = m + 1
+    pivots = []
     sign = 1
     prev = 1
-    free = None
-    pivots = []
-    for col in range(n):
+    for col in range(len(a[0]) if a else 0):
         r = len(pivots)
         for i in range(r, m):
             if a[i][col]:
                 break
         else:
-            if free is not None:
-                return (0,) * n
-            free = col
             continue
         if i != r:
             a[r], a[i] = a[i], a[r]
@@ -133,16 +129,38 @@ def cross_normal(vectors):
         pivot_row = a[r]
         p = pivot_row[col]
         for i in range(m):
-            if i != r:
-                row = a[i]
-                f = row[col]
+            row = a[i]
+            f = row[col]
+            # a row with 0 in the pivot column is only scaled by p / prev, a no-op when equal
+            if i != r and (f or p != prev):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = p
         pivots.append(col)
+        if r + 1 == m:
+            break
+    return pivots, sign, prev
+
+
+def cross_normal(vectors):
+    """Integer normal to n-1 independent integer vectors in Z^n.
+
+    Component k is (-1)^k times the minor obtained by deleting column k;
+    the result is orthogonal to every input vector and is zero when the
+    vectors are dependent.  With pivots in all columns but the free one f,
+    the Gauss-Jordan pivot block reads D times the identity, where D is the
+    minor without column f (up to the sign of the row swaps), and the free
+    column holds the other components of the kernel vector scaled by D.
+    """
+    a = [list(v) for v in vectors]
+    n = len(a) + 1
+    pivots, sign, d = _gauss_jordan(a)
+    if len(pivots) < n - 1:
+        return (0,) * n
+    (free,) = set(range(n)).difference(pivots)
     if free % 2:
         sign = -sign
     normal = [0] * n
-    normal[free] = sign * prev
+    normal[free] = sign * d
     for row, col in zip(a, pivots):
         normal[col] = -sign * row[free]
     return tuple(normal)
@@ -158,65 +176,20 @@ def _int_rows(rows):
 
 
 def rank_rational(rows):
-    """Rank of a matrix with int/Fraction entries (fraction-free Bareiss).
-
-    After each step the entries below the pivot rows are minors of the input,
-    so the division by the previous pivot is exact even when a column without
-    a pivot is skipped.
-    """
-    a = _int_rows(rows)
-    if not a:
-        return 0
-    nrows, ncols = len(a), len(a[0])
-    full = min(nrows, ncols)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        for i in range(rank, nrows):
-            if a[i][col]:
-                break
-        else:
-            continue
-        a[rank], a[i] = a[i], a[rank]
-        pivot_row = a[rank]
-        p = pivot_row[col]
-        tail = pivot_row[col:]
-        for i in range(rank + 1, nrows):
-            row = a[i]
-            f = row[col]
-            row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
-        prev = p
-        rank += 1
-        if rank == full:
-            break
-    return rank
+    """Rank of a matrix with int/Fraction entries."""
+    return len(independent_rows(rows))
 
 
 def independent_rows(rows):
     """Indices of the rows a greedy pass keeps, in input order.
 
-    A row is kept when it is independent of the rows kept before it.  Each
-    row is reduced in ints against the kept pivots (every pivot row is zero
-    in the pivot columns before its own) and kept when a nonzero remains;
-    the pass stops once the kept rows span the whole space, so rows may be
-    a lazy iterable.
+    A row is kept when it is independent of the rows kept before it.  These
+    are the pivot columns of the transposed matrix: a column gets a pivot
+    exactly when it is independent of the columns before it.  The whole
+    iterable is read (it may be lazy) before the one elimination pass runs.
     """
-    kept = []
-    pivots = []  # (column, reduced row)
-    for idx, row in enumerate(rows):
-        (r,) = _int_rows([row])
-        for col, p in pivots:
-            if r[col]:
-                r = [p[col] * x - r[col] * y for x, y in zip(r, p)]
-        col = next((j for j, x in enumerate(r) if x), None)
-        if col is None:
-            continue
-        g = gcd(*r)
-        pivots.append((col, [x // g for x in r]))
-        kept.append(idx)
-        if len(kept) == len(r):
-            break
-    return kept
+    a = [list(col) for col in zip(*_int_rows(rows))]
+    return _gauss_jordan(a)[0]
 
 
 def solve_int(matrix, rhs):
@@ -224,32 +197,18 @@ def solve_int(matrix, rhs):
 
     A must be square and nonsingular for a result; None signals singularity.
     Entries may be ints or Fractions: each row and its right-hand side are
-    scaled to ints by the lcm of their denominators.  Fraction-free
-    Gauss-Jordan elimination then ends with the last pivot D equal to the
-    determinant of the row-swapped system (of either sign) and the last
-    column equal to D x, so no Fraction is built.
+    scaled to ints by the lcm of their denominators.  Gauss-Jordan on
+    [A | b] then has its pivots in columns 0..n-1 exactly when A is
+    nonsingular, and ends with the last pivot D equal to the determinant of
+    the row-swapped system (of either sign) and the last column equal to
+    D x, so no Fraction is built.
     """
     a = _int_rows(list(row) + [b] for row, b in zip(matrix, rhs))
     n = len(a)
-    prev = 1
-    for col in range(n):
-        for i in range(col, n):
-            if a[i][col]:
-                break
-        else:
-            return None
-        a[col], a[i] = a[i], a[col]
-        pivot_row = a[col]
-        p = pivot_row[col]
-        tail = pivot_row[col + 1 :]
-        # columns up to col are not read again: x is the last column over D
-        for i in range(n):
-            if i != col:
-                row = a[i]
-                f = row[col]
-                row[col + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
-        prev = p
-    return tuple(row[n] for row in a), prev
+    pivots, _, d = _gauss_jordan(a)
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in a), d
 
 
 def solve_rational(matrix, rhs):

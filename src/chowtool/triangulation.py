@@ -744,18 +744,15 @@ def _level1_cells(P):
     return out
 
 
-def boundary_triangulation(P, k, user=None):
+def boundary_triangulation(P, k):
     """Triangulation of the boundary of kP into (n-1)-simplices.
 
     Strategy-built triangulations are the k-dilations of the level-1 facet
     triangulations, refined inside each dilated cell by the alcove rule, so
     incidence counts depend only on the stratum of a point; a box facet's
     staircase at level 1 is the staircase of the box, so k times the box is
-    staircased directly.  A user-supplied Triangulation is passed through
-    unchanged.
+    staircased directly.
     """
-    if user is not None:
-        return user
     n = P.dim
     if n == 1:
         points = [(k * f.vertices[0][0],) for f in P.facets]

@@ -73,6 +73,22 @@ def test_triangulate_boundary(capsys):
     assert data["max_incidence"] == 8
 
 
+def test_triangulate_checks_a_supplied_triangulation(capsys, tmp_path):
+    edges = [[[-1, -1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [-1, -1]]]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dim": 1, "simplices": edges}))
+    code, out, _ = run(capsys, "triangulate", "X3", "--triangulation", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["regular"] is True
+    # one boundary edge missing: the cells no longer cover the boundary
+    path.write_text(json.dumps({"dim": 1, "simplices": edges[:2]}))
+    code, out, _ = run(capsys, "triangulate", "X3", "--triangulation", str(path), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["coverage_ok"] is False
+    assert data["regular"] is False
+
+
 def test_equations(capsys):
     code, out, _ = run(capsys, "equations", "catalog:X3")
     assert code == 0

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chowtool.geometry import Facet
 from chowtool.linalg import (
+    _gauss_jordan,
     adjugate,
     det_int,
     dot,
@@ -251,6 +252,34 @@ def test_independent_rows_matches_greedy_rank_loop(rows):
     assert independent_rows(rows) == want
     # a lazy iterable gives the same choice
     assert independent_rows(iter(rows)) == want
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """_int_matrices with some columns zeroed, so whole columns lack a pivot."""
+    rows = draw(_int_matrices())
+    ncols = len(rows[0]) if rows else 0
+    zero = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    return [[0 if j in zero else x for j, x in enumerate(r)] for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elimination_inputs())
+@example([])
+@example([[0, 1, 2], [0, 2, 4], [0, 1, 2], [0, 3, 5], [0, 0, 0]])
+@example([[0, 2, 1], [3, 1, 0], [1, 1, 1]])
+def test_gauss_jordan_contract(rows):
+    a = [list(r) for r in rows]
+    pivots, sign, d = _gauss_jordan(a)
+    rank = len(pivots)
+    assert rank == reference_rank(rows)
+    assert len(a) == len(rows) and pivots == sorted(set(pivots))
+    # the pivot block reads D times the identity, and the rows below it are zero
+    for i, row in enumerate(a[:rank]):
+        assert [row[c] for c in pivots] == [d if j == i else 0 for j in range(rank)]
+    assert not any(any(row) for row in a[rank:])
+    if rows and len(rows) == len(rows[0]) and rank == len(rows):
+        assert sign * d == det_int(rows)
 
 
 def reference_solve(matrix, rhs):

@@ -85,3 +85,19 @@ def test_scan_sees_every_stranded_private_definition():
 def test_package_reads_every_private_definition():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert _stranded_private_definitions(sources) == []
+
+
+def _assert_lines(source):
+    """Line numbers of the assert statements in a module's source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_scan_sees_every_assert():
+    source = "assert x\ndef f():\n    if y:\n        assert y, 'msg'\nraise AssertionError('kept')\n"
+    assert _assert_lines(source) == [1, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
+    # python -O strips asserts, so every invariant check in src/ is an explicit raise
+    assert _assert_lines(path.read_text()) == []

@@ -411,12 +411,6 @@ def test_no_strategy_for_unsupported_facets():
         level1_boundary(D)
 
 
-def test_user_supplied_triangulation_passthrough():
-    B = boundary_triangulation(X4, 2)
-    again = boundary_triangulation(X4, 2, user=B)
-    assert again is B
-
-
 def test_dilation_stratum_stability():
     # max incidence of strategy triangulations stabilizes across dilations
     for P in (X6, double_cone(X4), double_cone(X8)):
