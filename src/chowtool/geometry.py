@@ -473,16 +473,26 @@ def _box_scan(P, k):
 def adjacent_vertices(P, v):
     """The vertices joined to the vertex v by an edge, in vertex order.
 
-    v and w span an edge exactly when the facets tight at both have rank
-    n - 1; a segment (n = 1) has no pair passing this test.
+    Each vertex gets the bitmask of the facets through it.  The face cut out
+    by the facets through both v and w is the intersection of those facets;
+    its vertices are the u whose mask contains mask(v) & mask(w).  It is an
+    edge exactly when it has no vertex but v and w.  A segment (n = 1) has
+    no facet through both ends, so it has no pair passing this test.
     """
-    at_v = [f for f in P.facets if f.value(v) == 0]
+    mask = {u: 0 for u in P.vertices}
+    for i, f in enumerate(P.facets):
+        bit = 1 << i
+        for u in f.vertices:
+            mask[u] |= bit
+    at_v = mask[v]
     out = []
     for w in P.vertices:
-        if w == v:
+        common = at_v & mask[w]
+        if w == v or not common:
             continue
-        active = [f.normal for f in at_v if f.value(w) == 0]
-        if active and rank_rational(active) == P.dim - 1:
+        if not any(
+            m & common == common for u, m in mask.items() if u != v and u != w
+        ):
             out.append(w)
     return out
 

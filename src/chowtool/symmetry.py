@@ -29,7 +29,6 @@ from .linalg import (
     matvec,
     identity_matrix,
     independent_rows,
-    rank_rational,
     det_int,
     adjugate,
 )
@@ -77,13 +76,26 @@ def _gram_form(P):
 def automorphisms(P):
     """All matrices in GL(n, Z) mapping the vertex set of P onto itself.
 
+    The elements of _automorphism_search, sorted, then checked to be closed
+    under composition at every group order, from a generating set grown out
+    of the identity (see _check_group), which costs O(|G| |S|) products for
+    |S| generators instead of |G|^2.
+    """
+    found = sorted(_automorphism_search(P))
+    _check_group(found, P.dim)
+    return found
+
+
+def _automorphism_search(P):
+    """Yield each lattice automorphism of P once, each one checked.
+
     Backtracking over images of a linearly independent vertex base, pruned by
     Gram values of the invariant form.  The matrix sending the base to its
     images is read off in integers: images times the adjugate of the base
-    must be divisible by the base determinant.  The sorted result is then
-    checked to be closed under composition at every group order, from a
-    generating set grown out of the identity (see _check_group), which costs
-    O(|G| |S|) products for |S| generators instead of |G|^2.
+    must be divisible by the base determinant.  It is yielded only when it
+    is integral, has determinant +-1 and maps the vertex set onto itself.
+    At every depth the base vertex itself is tried last as its image, so the
+    search leaves the coset of the identity first.
     """
     _check_origin_interior(P)
     n = P.dim
@@ -101,9 +113,8 @@ def automorphisms(P):
     # Q v once per vertex; the Gram value of (a, b) is <a, Q b>
     qv = {v: matvec(q, v) for v in verts}
     grams = [[dot(base[i], qv[base[j]]) for j in range(i + 1)] for i in range(n)]
+    candidates = [[w for w in verts if w != b] + [b] for b in base]
     vert_set = set(verts)
-
-    found = []
 
     def extend(images):
         depth = len(images)
@@ -117,20 +128,17 @@ def automorphisms(P):
                 return
             if {matvec(g, v) for v in verts} != vert_set:
                 return
-            found.append(g)
+            yield g
             return
         target = grams[depth]
-        for w in verts:
+        for w in candidates[depth]:
             qw = qv[w]
             if dot(w, qw) == target[depth] and all(
                 dot(images[j], qw) == target[j] for j in range(depth)
             ):
-                extend(images + [w])
+                yield from extend(images + [w])
 
-    extend([])
-    found.sort()
-    _check_group(found, n)
-    return found
+    yield from extend([])
 
 
 def _check_group(elements, n):
@@ -239,15 +247,45 @@ def orbits(points, generators):
 
 
 def is_symmetric(P):
-    """True iff the common fixed subspace of the automorphism group is {0}."""
+    """True iff the common fixed subspace of the automorphism group is {0}.
+
+    That subspace is the kernel of the stacked rows of g - I over the group,
+    so P is symmetric iff those rows have rank n.  A fresh polytope reads
+    _automorphism_search and keeps the independent rows of each g - I as it
+    comes; it returns True at rank n.  That is sound before the group is
+    complete: every element is a checked automorphism, and the fixed space
+    of a subset contains the fixed space of the whole group.  When the
+    search runs out below rank n, the elements found are the whole group;
+    they are closure-checked like automorphisms' result, and the answer is
+    False.
+
+    A derived polytope answers for the subgroup automorphism_generators
+    builds from its factors' groups; the rank over those generators is n
+    iff every factor is symmetric:
+    - a product acts factorwise, so its g - I rows are block diagonal and
+      their rank is the sum of the factors' ranks;
+    - a double cone adds the apex flip diag(I, -1), whose g - I rows add
+      rank 1 to the base's, in the new coordinate alone;
+    - a dual acts by g^-T.  For a finite group G, dim Fix(G) is the average
+      of tr(g) over G; tr(g^-T) = tr(g^-1), and g -> g^-1 permutes G, so
+      dim Fix(<S>^-T) = dim Fix(<S>).
+    """
     _check_origin_interior(P)
+    if P._provenance is not None:
+        _, factors = P._provenance
+        return all(is_symmetric(F) for F in factors)
     n = P.dim
-    gens = automorphism_generators(P)
+    found = []
     rows = []
-    for g in gens:
-        for i in range(n):
-            rows.append(tuple(g[i][j] - int(i == j) for j in range(n)))
-    return rank_rational(rows) == n
+    for g in _automorphism_search(P):
+        found.append(g)
+        rows.extend(tuple(g[i][j] - int(i == j) for j in range(n)) for i in range(n))
+        rows = [rows[i] for i in independent_rows(rows)]
+        if len(rows) == n:
+            return True
+    found.sort()
+    _check_group(found, n)
+    return False
 
 
 def fo_invariant(P, a, k):

@@ -365,6 +365,32 @@ def test_segment_edges():
     assert _edges_at_vertex(SEG, (1,)) == []
 
 
+def _adjacent_by_rank(P, v):
+    """Oracle: w is adjacent to v when the facets tight at both have rank n - 1."""
+    at_v = [f for f in P.facets if f.value(v) == 0]
+    out = []
+    for w in P.vertices:
+        if w == v:
+            continue
+        active = [f.normal for f in at_v if f.value(w) == 0]
+        if active and linalg.rank_rational(active) == P.dim - 1:
+            out.append(w)
+    return out
+
+
+def _assert_adjacency_matches_rank(P):
+    for v in P.vertices:
+        assert adjacent_vertices(P, v) == _adjacent_by_rank(P, v)
+
+
+@pytest.mark.parametrize(
+    # the rank oracle takes seconds on the 64- to 130-vertex cubes
+    "name", [name for name in catalog.list_names() if len(catalog.get(name).polytope.vertices) <= 34]
+)
+def test_adjacency_matches_rank_oracle_on_catalog(name):
+    _assert_adjacency_matches_rank(catalog.get(name).polytope)
+
+
 def _facet_volume_per_call(facet):
     # the per-call computation facet_relative_volume replaced, kept as its oracle
     coords, _, _ = facet_coordinates(facet, facet.vertices)
@@ -553,6 +579,16 @@ def test_hull_visibility_search_matches_full_scan(points):
             convex_hull(points)
         return
     assert convex_hull(points) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_clouds())
+def test_adjacency_matches_rank_oracle_on_random_polytopes(points):
+    try:
+        P = Polytope(points)
+    except NotFullDimensional:
+        assume(False)
+    _assert_adjacency_matches_rank(P)
 
 
 @pytest.mark.parametrize(

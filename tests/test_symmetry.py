@@ -2,10 +2,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from chowtool.errors import OriginNotInterior
-from chowtool.geometry import Polytope, product, double_cone, lattice_points
-from chowtool.linalg import matvec, det_int
+from chowtool import catalog, symmetry
+from chowtool.errors import NotFullDimensional, OriginNotInterior
+from chowtool.geometry import Polytope, product, dual, double_cone, lattice_points
+from chowtool.linalg import matvec, det_int, identity_matrix, rank_rational
 from chowtool.symmetry import (
     AffineFunctional,
     automorphisms,
@@ -14,6 +16,7 @@ from chowtool.symmetry import (
     is_symmetric,
     fo_invariant,
     is_weakly_symmetric,
+    _check_origin_interior,
 )
 
 X3 = Polytope([(-1, -1), (1, 0), (0, 1)], name="X3")
@@ -22,6 +25,23 @@ X6 = Polytope([(0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, 1)], name="X6")
 SQUARE = Polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
 Q_SKEW = Polytope([(0, 0), (2, 0), (0, 1)], name="skew")
 T2 = Polytope([(0, 0), (1, 0), (0, 1)])
+
+
+SEG = Polytope([(-1,), (1,)])
+# a reflexive pentagon whose only nontrivial automorphism is a reflection
+PENTAGON = Polytope([(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1)])
+
+
+def _is_symmetric_by_rank(P):
+    """Oracle: the rank of the stacked g - I over automorphism_generators,
+    the whole closure-checked group for a polytope without provenance."""
+    _check_origin_interior(P)
+    n = P.dim
+    rows = []
+    for g in automorphism_generators(P):
+        for i in range(n):
+            rows.append(tuple(g[i][j] - int(i == j) for j in range(n)))
+    return rank_rational(rows) == n
 
 
 def brute_force_automorphisms_2d(P, bound=1):
@@ -89,8 +109,125 @@ def test_is_symmetric():
     assert is_symmetric(A4)
     assert is_symmetric(double_cone(X4))
     # a reflexive but asymmetric polytope: unit-cut corner square
-    P = Polytope([(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1)])
-    assert not is_symmetric(P)
+    assert not is_symmetric(PENTAGON)
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_is_symmetric_matches_rank_oracle_on_catalog(name):
+    P = catalog.get(name).polytope
+    assert is_symmetric(P) == _is_symmetric_by_rank(P)
+
+
+def _assert_agrees_with_oracle(P):
+    try:
+        want = _is_symmetric_by_rank(P)
+    except OriginNotInterior:
+        with pytest.raises(OriginNotInterior):
+            is_symmetric(P)
+        return
+    assert is_symmetric(P) == want
+
+
+@st.composite
+def lattice_polytopes(draw, dims=(2, 3), bound=2, units=False):
+    """Hulls of a few points of [-bound, bound]^d (with the +-e_i if units),
+    as drawn or closed under -I or under cyclic coordinate shifts, so both
+    answers and both origin cases come up."""
+    d = draw(st.sampled_from(dims))
+    coord = st.integers(-bound, bound)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=6, unique=True))
+    if units:
+        pts += [tuple(s * int(j == i) for j in range(d)) for i in range(d) for s in (1, -1)]
+    closure = draw(st.sampled_from(["none", "central", "cyclic", "both"]))
+    if closure in ("central", "both"):
+        pts += [tuple(-x for x in p) for p in pts]
+    if closure in ("cyclic", "both"):
+        pts += [p[i:] + p[:i] for p in pts for i in range(1, d)]
+    try:
+        return Polytope(pts)
+    except NotFullDimensional:
+        assume(False)
+
+
+# inside [-1, 1]^n with the +-e_i, every polygon is reflexive and many
+# 3-polytopes are, so duals come up
+reflexive_often = lattice_polytopes(bound=1, units=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=lattice_polytopes())
+def test_is_symmetric_matches_rank_oracle_on_random_polytopes(P):
+    _assert_agrees_with_oracle(P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    P=st.one_of(lattice_polytopes(), reflexive_often),
+    Q=st.one_of(st.just(SEG), lattice_polytopes(dims=(2,))),
+)
+def test_is_symmetric_matches_rank_oracle_on_derived_polytopes(P, Q):
+    _assert_agrees_with_oracle(product(P, Q))
+    if all(f.offset > 0 for f in P.facets):
+        _assert_agrees_with_oracle(double_cone(P))
+    if all(f.offset == 1 for f in P.facets):
+        _assert_agrees_with_oracle(dual(P))
+        _assert_agrees_with_oracle(double_cone(dual(P)))
+
+
+def _count_search(monkeypatch):
+    """Wrap _automorphism_search; returns [searches started, elements yielded]."""
+    counts = [0, 0]
+    real = symmetry._automorphism_search
+
+    def counted(P):
+        counts[0] += 1
+        for g in real(P):
+            counts[1] += 1
+            yield g
+
+    monkeypatch.setattr(symmetry, "_automorphism_search", counted)
+    return counts
+
+
+def test_symmetric_answer_stops_the_search_early(monkeypatch):
+    A5 = catalog.get("A5").polytope
+    assert A5._provenance is None
+    counts = _count_search(monkeypatch)
+
+    def refuse(elements, n):
+        raise AssertionError("closure check reached")
+
+    monkeypatch.setattr(symmetry, "_check_group", refuse)
+    assert is_symmetric(A5)
+    assert counts[0] == 1 and 0 < counts[1] < 720
+    # the coset of the identity comes last, so the first element found is not it
+    assert next(symmetry._automorphism_search(A5)) != identity_matrix(5)
+
+
+def test_asymmetric_answer_checks_the_group_once(monkeypatch):
+    group = automorphisms(PENTAGON)
+    assert len(group) == 2
+    counts = _count_search(monkeypatch)
+    checked = []
+    real = symmetry._check_group
+
+    def counted(elements, n):
+        checked.append(list(elements))
+        real(elements, n)
+
+    monkeypatch.setattr(symmetry, "_check_group", counted)
+    assert not is_symmetric(PENTAGON)
+    assert counts == [1, 2]
+    assert checked == [group]
+
+
+def test_asymmetric_answer_propagates_a_failed_group_check(monkeypatch):
+    def broken(elements, n):
+        raise AssertionError("automorphism set not closed")
+
+    monkeypatch.setattr(symmetry, "_check_group", broken)
+    with pytest.raises(AssertionError):
+        is_symmetric(PENTAGON)
 
 
 def test_generators_from_provenance():
