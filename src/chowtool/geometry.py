@@ -251,35 +251,28 @@ class Polytope:
 
     * ``Polytope(points)`` runs the convex hull, which drops non-vertices and
       finds the facets; its output is taken as it is.
-    * ``Polytope(vertices, _trusted=(facets, raw))`` takes a facet system on
-      trust and runs all of ``_validate_trusted``: the slack matrix is
-      nonnegative, each facet's tight vertices have affine rank n - 1 and
-      each vertex's active normals have rank n.
     * the constructors product / dual / double_cone derive the facet system
       from factors that are already polytopes, and their docstrings derive
       both rank facts from the factors'.  They check only the integer slack
-      matrix (``_check_slack``), which needs no elimination.
+      matrix (``_check_slack``), which needs no elimination, and record the
+      factors in ``_provenance``.
 
     Facts that depend on the polytope alone are computed on first use and
     kept on it: the volume, the centroid, the lattice points of each
-    dilation, and, per facet keyed by (normal, offset), the facet polytope
-    of facet_polytope and the relative volumes a constructor derives from
-    its factors.
+    dilation and, per facet keyed by (normal, offset), the facet polytope of
+    facet_polytope.  A product or a double cone reads its volume, centroid,
+    facet volumes and lattice points from its factors' on first use, and
+    building it computes none of them.
     """
 
-    def __init__(self, points, name=None, _trusted=None):
+    def __init__(self, points, name=None):
         pts = [tuple(int(x) for x in p) for p in points]
         if not pts:
             raise ValueError("empty point list")
         dims = {len(p) for p in pts}
         if len(dims) != 1:
             raise ValueError("points of mixed dimension")
-        if _trusted is not None:
-            facets, raw = _trusted
-            self._set(name, sorted(set(pts)), facets, raw)
-            self._validate_trusted()
-        else:
-            self._set(name, *convex_hull(pts))
+        self._set(name, *convex_hull(pts))
 
     @classmethod
     def _derived(cls, vertices, facets, name, provenance):
@@ -298,7 +291,6 @@ class Polytope:
         self._raw_boundary = raw
         self._volume = None
         self._centroid = None
-        self._facet_relvols = None
         self._facet_polytopes = {}  # (normal, offset) -> facet_polytope triple
         self._points_cache = {}
         self._level1 = None  # triangulation.level1_boundary, once built
@@ -308,36 +300,15 @@ class Polytope:
 
     # -- construction checks ---------------------------------------------------
 
-    def _slack(self):
-        """slack[i][j] = value of facet i at vertex j; no entry may be negative."""
+    def _check_slack(self):
+        """Every vertex satisfies every facet, whose zero set is its recorded vertices."""
         verts = self.vertices
         slack = [[dot(f.normal, v) + f.offset for v in verts] for f in self.facets]
         if any(s < 0 for row in slack for s in row):
             raise AssertionError("facet system violated by a vertex")
-        return slack
-
-    def _check_slack(self):
-        """Every vertex satisfies every facet, whose zero set is its recorded vertices."""
-        verts = self.vertices
-        for f, row in zip(self.facets, self._slack()):
+        for f, row in zip(self.facets, slack):
             if tuple(v for v, s in zip(verts, row) if s == 0) != f.vertices:
                 raise AssertionError("derived facet's tight vertices are not its zero set")
-
-    def _validate_trusted(self):
-        n = self.dim
-        verts = self.vertices
-        slack = self._slack()
-        for row in slack:
-            tight = [v for v, s in zip(verts, row) if s == 0]
-            if len(tight) < n:
-                raise AssertionError("trusted facet with too few tight vertices")
-            rows = [vec_sub(v, tight[0]) for v in tight[1:]]
-            if rank_rational(rows) != n - 1:
-                raise AssertionError("trusted facet not (n-1)-dimensional")
-        for j in range(len(verts)):
-            active = [f.normal for f, row in zip(self.facets, slack) if row[j] == 0]
-            if rank_rational(active) != n:
-                raise AssertionError("trusted vertex list contains a non-vertex")
 
     def __repr__(self):
         label = self.name or "polytope"
@@ -518,38 +489,63 @@ def _fan_simplices(P, apex=None):
             yield (apex,) + simplex
 
 
-def volume(P):
-    """Exact Euclidean volume (conv{0, e_1..e_n} has volume 1/n!)."""
-    if P._volume is not None:
-        return P._volume
+def _fan_moments(P):
+    """(volume, centroid) of P from one pass over its fan decomposition.
+
+    Each fan simplex weighs by |det| of its edges, n! times its volume, and
+    its centroid is the mean of its n + 1 vertices.
+    """
     n = P.dim
     total = 0
+    acc = [0] * n
     for simplex in _fan_simplices(P):
-        edges = [vec_sub(q, simplex[0]) for q in simplex[1:]]
-        total += abs(det_int(edges))
-    vol = Fraction(total, factorial(n))
-    P._volume = vol
-    return vol
+        w = abs(det_int([vec_sub(q, simplex[0]) for q in simplex[1:]]))
+        total += w
+        for i in range(n):
+            acc[i] += w * sum(q[i] for q in simplex)
+    return Fraction(total, factorial(n)), tuple(Fraction(a, total * (n + 1)) for a in acc)
+
+
+def volume(P):
+    """Exact Euclidean volume (conv{0, e_1..e_n} has volume 1/n!).
+
+    A product A x B has Vol(A) Vol(B).  A double cone over an n-dimensional
+    B is two pyramids of height 1 over B x {0}, of volume 2 Vol(B) / (n + 1).
+    Any other polytope takes its volume and centroid from one fan pass.
+    """
+    if P._volume is None:
+        kind, factors = P._provenance or (None, ())
+        if kind == "product":
+            A, B = factors
+            P._volume = volume(A) * volume(B)
+        elif kind == "double_cone":
+            (B,) = factors
+            P._volume = 2 * volume(B) / (B.dim + 1)
+        else:
+            P._volume, P._centroid = _fan_moments(P)
+    return P._volume
 
 
 def centroid(P):
-    """Exact centroid, volume-weighted over the fan decomposition."""
-    if P._centroid is not None:
-        return P._centroid
-    n = P.dim
-    total = 0
-    acc = [Fraction(0)] * n
-    for simplex in _fan_simplices(P):
-        edges = [vec_sub(q, simplex[0]) for q in simplex[1:]]
-        w = abs(det_int(edges))
-        if w == 0:
-            continue
-        total += w
-        for i in range(n):
-            acc[i] += w * Fraction(sum(q[i] for q in simplex), n + 1)
-    c = tuple(a / total for a in acc)
-    P._centroid = c
-    return c
+    """Exact centroid.
+
+    A product's is its factors' side by side.  Each pyramid of a double cone
+    over an n-dimensional B has its centroid at (n + 1) / (n + 2) of the way
+    from its apex to B's centroid, and the two apexes' heights cancel.  Any
+    other polytope's is volume-weighted over the fan decomposition.
+    """
+    if P._centroid is None:
+        kind, factors = P._provenance or (None, ())
+        if kind == "product":
+            A, B = factors
+            P._centroid = centroid(A) + centroid(B)
+        elif kind == "double_cone":
+            (B,) = factors
+            scale = Fraction(B.dim + 1, B.dim + 2)
+            P._centroid = tuple(scale * c for c in centroid(B)) + (Fraction(0),)
+        else:
+            P._volume, P._centroid = _fan_moments(P)
+    return P._centroid
 
 
 def facet_lattice_basis(facet):
@@ -605,22 +601,36 @@ def facet_polytope(P, facet):
     return got
 
 
+def _facet_with_normal(P, normal):
+    return next(f for f in P.facets if f.normal == normal)
+
+
 def facet_relative_volume(P, facet):
     """Relative (lattice-normalized) volume of one facet.
 
     A unimodular (n-1)-simplex in the facet contributes 1/(n-1)!; this is
     the normalization that makes the Ehrhart k^{n-1} coefficient equal
-    Vol(boundary)/2.  A simplex facet reads its minor gcd; any other facet
-    is the volume of its facet_polytope, so its hull runs once per polytope
-    and the volume is cached on the facet polytope.
+    Vol(boundary)/2.  A product's facet F x B (or A x G) has the factor
+    facet's relative volume times the other factor's volume.  A double
+    cone's facet over F is a pyramid of lattice height 1 over F, of relative
+    volume vol(F) / (n - 1) in dimension n.  Otherwise a simplex facet reads
+    its minor gcd; any other facet is the volume of its facet_polytope, so
+    its hull runs once per polytope and the volume is cached on the facet
+    polytope.
     """
-    if P._facet_relvols is not None:
-        got = P._facet_relvols.get((facet.normal, facet.offset))
-        if got is not None:
-            return got
     n = P.dim
     if n == 1:
         return Fraction(1)
+    kind, factors = P._provenance or (None, ())
+    if kind == "product":
+        A, B = factors
+        head, tail = facet.normal[: A.dim], facet.normal[A.dim :]
+        if any(head):
+            return facet_relative_volume(A, _facet_with_normal(A, head)) * volume(B)
+        return volume(A) * facet_relative_volume(B, _facet_with_normal(B, tail))
+    if kind == "double_cone":
+        (B,) = factors
+        return facet_relative_volume(B, _facet_with_normal(B, facet.normal[:-1])) / (n - 1)
     if len(facet.vertices) == n:
         g = simplex_relative_volume_times_factorial(facet.vertices)
         return Fraction(g, factorial(n - 1))
@@ -645,7 +655,7 @@ def is_reflexive(P):
 
 
 def product(P, Q, name=None):
-    """Cartesian product, with facet system and caches derived from the factors.
+    """Cartesian product, with its facet system derived from the factors.
 
     The facets of P x Q are F x Q and P x G for the facets F of P and G of
     Q.  F x Q is tight at tight_P(F) x V(Q), of affine rank (n-1) + m, and
@@ -664,18 +674,7 @@ def product(P, Q, name=None):
     for f in Q.facets:
         tight = tuple(sorted(a + b for a in P.vertices for b in f.vertices))
         new_facets.append(Facet(normal=zero_n + f.normal, offset=f.offset, vertices=tight))
-    R = Polytope._derived(verts, new_facets, name, ("product", (P, Q)))
-    R._volume = volume(P) * volume(Q)
-    cp = centroid(P)
-    cq = centroid(Q)
-    R._centroid = tuple(cp) + tuple(cq)
-    relvols = {}
-    for f in P.facets:
-        relvols[(f.normal + zero_m, f.offset)] = facet_relative_volume(P, f) * volume(Q)
-    for f in Q.facets:
-        relvols[(zero_n + f.normal, f.offset)] = volume(P) * facet_relative_volume(Q, f)
-    R._facet_relvols = relvols
-    return R
+    return Polytope._derived(verts, new_facets, name, ("product", (P, Q)))
 
 
 def dual(P, name=None):
@@ -730,17 +729,7 @@ def double_cone(P, name=None):
             normal = f.normal + (sgn,)
             tight = tuple(sorted(base + [apex]))
             new_facets.append(Facet(normal=normal, offset=f.offset, vertices=tight))
-    R = Polytope._derived(verts, new_facets, name, ("double_cone", (P,)))
-    R._volume = 2 * volume(P) / (n + 1)
-    cp = centroid(P)
-    R._centroid = tuple(Fraction(n + 1, n + 2) * c for c in cp) + (Fraction(0),)
-    relvols = {}
-    for f in P.facets:
-        rv = facet_relative_volume(P, f) / n if n >= 2 else Fraction(1, 1)
-        relvols[(f.normal + (-f.offset,), f.offset)] = rv
-        relvols[(f.normal + (f.offset,), f.offset)] = rv
-    R._facet_relvols = relvols
-    return R
+    return Polytope._derived(verts, new_facets, name, ("double_cone", (P,)))
 
 
 def lattice_shells(P, k):

@@ -38,7 +38,6 @@ from .geometry import (
     centroid,
     lattice_points,
     double_cone,
-    facet_relative_volume,
     is_reflexive,
     _fan_simplices,
 )
@@ -443,13 +442,9 @@ def vertex_cap_instability(P, v):
     for p in lattice_points(cap_poly, 1):
         if p != v and dot(u, p) != umax - 1:
             raise NonIntegralCut("lattice point strictly inside the unit cap")
-    base_facet = next(
-        f
-        for f in cap_poly.facets
-        if all(dot(f.normal, b) + f.offset == 0 for b in base_pts)
-        and f.value(v) != 0
-    )
-    relvol = facet_relative_volume(cap_poly, base_facet)
+    # the cap is a pyramid over its base at lattice height 1 (u is primitive,
+    # as u(e) = -1), so the base's relative volume is d times the cap's volume
+    relvol = d * volume(cap_poly)
     threshold = d * (d + 1)
     fires = relvol >= threshold
     checks = [
@@ -973,12 +968,9 @@ def falsify(P, k):
     vol_den = volume(P) * k**n * factorial(n + 1)
     objective = [w / vol_den - Fraction(h) / chi for w, h in zip(vol_weight, hits)]
 
-    # deduplicate constraint rows
-    unique = dict.fromkeys(zip(rows, rhs))
-    rows2 = [list(r) for r, _ in unique]
-    rhs2 = [b for _, b in unique]
-
-    value, x = solve_lp(objective, rows2, rhs2)
+    # the rows are distinct: _fold_rows keeps each fold row once, and they sum
+    # to 0 with bound 0, the box rows have bound 1 and the anchor rows sum to +-1
+    value, x = solve_lp(objective, rows, rhs)
     if value <= 0:
         return None
     values = {}

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, reduce
 from itertools import (
+    accumulate,
     chain,
     combinations,
     compress,
@@ -495,7 +496,8 @@ def _freudenthal_box_block(los, his):
     and coordinate order, as indices into points.
 
     A point's index is its mixed-radix offset from los, so each unit chain
-    (a staircase_chain from the origin) becomes a tuple of index offsets.
+    (a staircase_chain from the origin, one unit step per coordinate in the
+    chain's order) becomes the running sums of those coordinates' strides.
     """
     d = len(los)
     sizes = [hi - lo + 1 for lo, hi in zip(los, his)]
@@ -504,7 +506,7 @@ def _freudenthal_box_block(los, his):
         strides[j] = strides[j + 1] * sizes[j + 1]
     points = list(iter_product(*(range(lo, hi + 1) for lo, hi in zip(los, his))))
     chains = [
-        [sum(map(mul, v, strides)) for v in staircase_chain((0,) * d, (1,) * d, order)]
+        tuple(accumulate(map(strides.__getitem__, order), initial=0))
         for order in permutations(range(d))
     ]
     cells = []

@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction
 from itertools import count, product as iproduct
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -299,35 +300,6 @@ def test_dilation_implicit_consistency():
             assert lattice_points(P, k) == lattice_points(scaled, 1)
 
 
-def _trusted_square(vertices, extra_facets=()):
-    """Polytope over a given vertex list, trusting the facet system of [-1, 1]^2."""
-    return Polytope(vertices, _trusted=(list(SQUARE.facets) + list(extra_facets), None))
-
-
-def test_trusted_square_passes_validation():
-    assert _trusted_square(SQUARE.vertices).facets == SQUARE.facets
-
-
-def test_trusted_vertex_violating_a_facet_is_rejected():
-    # x >= 0 cuts the square in half
-    cut = Facet(normal=(1, 0), offset=0, vertices=((0, -1), (0, 1)))
-    with pytest.raises(AssertionError, match="violated by a vertex"):
-        _trusted_square(SQUARE.vertices, [cut])
-
-
-def test_trusted_facet_with_too_few_tight_vertices_is_rejected():
-    # x + y >= -2 is valid but touches the square only at (-1, -1)
-    corner = Facet(normal=(1, 1), offset=2, vertices=((-1, -1),))
-    with pytest.raises(AssertionError, match="too few tight vertices"):
-        _trusted_square(SQUARE.vertices, [corner])
-
-
-def test_trusted_non_vertex_is_rejected():
-    # (0, -1) lies in the middle of the bottom edge
-    with pytest.raises(AssertionError, match="non-vertex"):
-        _trusted_square(list(SQUARE.vertices) + [(0, -1)])
-
-
 @pytest.mark.parametrize(
     "name, edges",
     [
@@ -410,10 +382,10 @@ def _facet_volume_per_call(facet):
 )
 def test_facet_relative_volume_matches_per_call_facet_hull(name):
     P = catalog.get(name).polytope
-    # a copy without the volumes a product or double-cone constructor
-    # derives, so every non-simplex facet goes through its facet polytope
+    # a copy without the factors a product or double cone reads its facet
+    # volumes from, so every non-simplex facet goes through its facet polytope
     bare = copy.copy(P)
-    bare._facet_relvols = None
+    bare._provenance = None
     bare._facet_polytopes = {}
     for f in P.facets:
         if len(f.vertices) > P.dim:
@@ -429,12 +401,75 @@ def facet_system(facets):
     return [(f.normal, f.offset, f.vertices) for f in facets]
 
 
+def assert_ranks_hold(R):
+    """The two rank facts a constructor derives from its factors: each
+    facet's tight vertices have affine rank n - 1, and each vertex's active
+    normals have rank n."""
+    n = R.dim
+    for f in R.facets:
+        assert len(f.vertices) >= n, f
+        rows = [linalg.vec_sub(v, f.vertices[0]) for v in f.vertices[1:]]
+        assert linalg.rank_rational(rows) == n - 1, f
+    for v in R.vertices:
+        active = [f.normal for f in R.facets if f.value(v) == 0]
+        assert linalg.rank_rational(active) == n, v
+
+
 def assert_derivation_holds(R):
-    """The hull of R's vertices finds R's facet system, and the rank checks pass."""
-    verts, hull_facets, _ = convex_hull(R.vertices)
-    assert R.vertices == tuple(verts)
-    assert facet_system(R.facets) == facet_system(hull_facets)
-    R._validate_trusted()
+    """The hull of R's vertices finds R's facet system, the rank checks pass,
+    and the facts R reads from its factors are the hull's.
+
+    The hull's facet volumes come from its raw boundary simplices, which
+    triangulate each facet F: coned from a vertex p at lattice height h over
+    F, a simplex s adds |det(s - p)| = h (n-1)! relvol(s).  That avoids a
+    hull per facet, which takes seconds on the 7-dimensional catalog entries.
+    """
+    fresh = Polytope(R.vertices)
+    assert R.vertices == fresh.vertices
+    assert facet_system(R.facets) == facet_system(fresh.facets)
+    assert_ranks_hold(R)
+    assert volume(R) == volume(fresh)
+    assert centroid(R) == centroid(fresh)
+    through = {v: {f for f in R.facets if f.value(v) == 0} for v in R.vertices}
+    apex = {f: next(v for v in R.vertices if f.value(v) > 0) for f in R.facets}
+    cone_volume = dict.fromkeys(R.facets, 0)
+    for simplex in fresh.raw_boundary_simplices():
+        (f,) = set.intersection(*(through[v] for v in simplex))
+        cone_volume[f] += abs(linalg.det_int([linalg.vec_sub(q, apex[f]) for q in simplex]))
+    for f in R.facets:
+        h = f.value(apex[f])
+        assert facet_relative_volume(R, f) * factorial(R.dim - 1) * h == cone_volume[f], f
+
+
+def test_constructors_leave_their_factors_caches_unset():
+    # building a product or a double cone computes no fact of its factors:
+    # each is read from them on first use
+    A = Polytope([(-1, -1), (1, 0), (0, 1)])
+    B = Polytope([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    seg = Polytope([(-1,), (1,)])
+    product(A, B)
+    double_cone(A)
+    double_cone(product(B, seg))
+    for Q in (A, B, seg):
+        assert Q._volume is None and Q._centroid is None, Q
+
+
+def test_product_with_a_dual_factor_runs_no_hull(monkeypatch):
+    cube6 = product(product(product(product(product(SEG, SEG), SEG), SEG), SEG), SEG)
+    cross6 = dual(cube6)
+    calls = []
+    real = geometry.convex_hull
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(geometry, "convex_hull", counting)
+    R = product(cross6, SEG)
+    assert calls == []
+    # the first fact read runs the factor's one hull, and no other
+    assert volume(R) == 2 * Fraction(2**6, factorial(6))
+    assert calls == [len(cross6.vertices)]
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,8 @@ def test_vertex_cap_on_double_cone_apex():
     # consistent with the double-cone criterion threshold: base volume 64 >= 56
     check = v.check("vertex-cap threshold (informal criterion)")
     assert check is not None and check.passed
+    relvol = Fraction(dict(check.data)["base_relative_volume"])
+    assert relvol == _cap_base_facet_volume(D6, apex) == 64
 
 
 def test_vertex_cap_inconclusive_cases():
@@ -170,6 +172,60 @@ def test_vertex_cap_non_integral_cut():
     C3 = cube(3)
     with pytest.raises(NonIntegralCut):
         vertex_cap_instability(double_cone(C3), (1, 1, 1, 0))
+
+
+def _cap_base_facet_volume(P, v):
+    """Oracle for the relative base volume of the unit cap at v: the hull of
+    the cap and facet_relative_volume of its one facet missing v."""
+    from chowtool.geometry import facet_relative_volume
+    from chowtool.stability import _edges_at_vertex
+
+    base_pts = [tuple(a + b for a, b in zip(v, e)) for e in _edges_at_vertex(P, v)]
+    cap = Polytope([v] + base_pts)
+    (base,) = [f for f in cap.facets if f.value(v) != 0]
+    return facet_relative_volume(cap, base)
+
+
+def _assert_cap_base_volumes_match(P):
+    accepted = 0
+    for v in P.vertices:
+        try:
+            verdict = vertex_cap_instability(P, v)
+        except NonIntegralCut:
+            continue
+        accepted += 1
+        got = Fraction(dict(verdict.checks[0].data)["base_relative_volume"])
+        assert got == _cap_base_facet_volume(P, v), v
+    return accepted
+
+
+def test_vertex_cap_base_volume_matches_the_base_facet_on_the_catalog():
+    from chowtool import catalog
+
+    accepted = sum(
+        _assert_cap_base_volumes_match(e.polytope)
+        for e in catalog.entries()
+        if e.polytope.dim <= 4
+    )
+    assert accepted > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=8, unique=True
+        )
+    )
+)
+def test_vertex_cap_base_volume_matches_the_base_facet_on_random_polytopes(pts):
+    from chowtool.errors import NotFullDimensional
+
+    try:
+        P = Polytope(pts)
+    except NotFullDimensional:
+        return
+    _assert_cap_base_volumes_match(P)
 
 
 def test_vertex_cap_function_none_when_rest_is_lower_dimensional():
