@@ -12,6 +12,7 @@ and scale facet offsets on the fly.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import factorial
 
 from .errors import NotFullDimensional, NotReflexive, DimensionTooSmall, OriginNotInterior
@@ -258,11 +259,12 @@ class Polytope:
       factors in ``_provenance``.
 
     Facts that depend on the polytope alone are computed on first use and
-    kept on it: the volume, the centroid, the lattice points of each
-    dilation and, per facet keyed by (normal, offset), the facet polytope of
-    facet_polytope.  A product or a double cone reads its volume, centroid,
-    facet volumes and lattice points from its factors' on first use, and
-    building it computes none of them.
+    kept on it: the lattice points of each dilation in ``_points_cache``,
+    and every other fact (the volume, the centroid, each facet's
+    facet_polytope, and the facts other modules declare) in one memo that
+    per_polytope fills.  A product or a double cone reads its volume,
+    centroid, facet volumes and lattice points from its factors' on first
+    use, and building it computes none of them.
     """
 
     def __init__(self, points, name=None):
@@ -289,13 +291,8 @@ class Polytope:
         self.vertices = tuple(vertices)
         self.facets = tuple(sorted(facets, key=lambda f: (f.normal, f.offset)))
         self._raw_boundary = raw
-        self._volume = None
-        self._centroid = None
-        self._facet_polytopes = {}  # (normal, offset) -> facet_polytope triple
         self._points_cache = {}
-        self._level1 = None  # triangulation.level1_boundary, once built
-        self._bipyramid_cycles = None  # triangulation._bipyramid_cycles, once built
-        self._weak_symmetry = None  # stability._weak_symmetry_check, once run
+        self._memo = {}  # (per_polytope function, args) -> its result on this polytope
         self._provenance = None  # ("product", (P, Q)) etc., set by constructors
 
     # -- construction checks ---------------------------------------------------
@@ -325,6 +322,7 @@ class Polytope:
         clone.__dict__.update(self.__dict__)
         clone.name = name
         clone._points_cache = {}
+        clone._memo = {}
         return clone
 
     # -- basic queries ---------------------------------------------------------
@@ -349,6 +347,25 @@ class Polytope:
             verts, facets, raw = convex_hull(self.vertices)
             self._raw_boundary = raw
         return self._raw_boundary
+
+
+def per_polytope(fn):
+    """Memoise fn(P, *args) on the polytope P, keyed by function and args.
+
+    The one cache for facts of a polytope computed on first use; a module
+    that adds such a fact decorates its function and declares nothing on
+    Polytope.  A call that raises stores nothing.
+    """
+
+    @wraps(fn)
+    def memoised(P, *args):
+        key = (memoised, args)
+        memo = P._memo
+        if key not in memo:
+            memo[key] = fn(P, *args)
+        return memo[key]
+
+    return memoised
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +506,7 @@ def _fan_simplices(P, apex=None):
             yield (apex,) + simplex
 
 
+@per_polytope
 def _fan_moments(P):
     """(volume, centroid) of P from one pass over its fan decomposition.
 
@@ -506,6 +524,7 @@ def _fan_moments(P):
     return Fraction(total, factorial(n)), tuple(Fraction(a, total * (n + 1)) for a in acc)
 
 
+@per_polytope
 def volume(P):
     """Exact Euclidean volume (conv{0, e_1..e_n} has volume 1/n!).
 
@@ -513,19 +532,17 @@ def volume(P):
     B is two pyramids of height 1 over B x {0}, of volume 2 Vol(B) / (n + 1).
     Any other polytope takes its volume and centroid from one fan pass.
     """
-    if P._volume is None:
-        kind, factors = P._provenance or (None, ())
-        if kind == "product":
-            A, B = factors
-            P._volume = volume(A) * volume(B)
-        elif kind == "double_cone":
-            (B,) = factors
-            P._volume = 2 * volume(B) / (B.dim + 1)
-        else:
-            P._volume, P._centroid = _fan_moments(P)
-    return P._volume
+    kind, factors = P._provenance or (None, ())
+    if kind == "product":
+        A, B = factors
+        return volume(A) * volume(B)
+    if kind == "double_cone":
+        (B,) = factors
+        return 2 * volume(B) / (B.dim + 1)
+    return _fan_moments(P)[0]
 
 
+@per_polytope
 def centroid(P):
     """Exact centroid.
 
@@ -534,18 +551,15 @@ def centroid(P):
     from its apex to B's centroid, and the two apexes' heights cancel.  Any
     other polytope's is volume-weighted over the fan decomposition.
     """
-    if P._centroid is None:
-        kind, factors = P._provenance or (None, ())
-        if kind == "product":
-            A, B = factors
-            P._centroid = centroid(A) + centroid(B)
-        elif kind == "double_cone":
-            (B,) = factors
-            scale = Fraction(B.dim + 1, B.dim + 2)
-            P._centroid = tuple(scale * c for c in centroid(B)) + (Fraction(0),)
-        else:
-            P._volume, P._centroid = _fan_moments(P)
-    return P._centroid
+    kind, factors = P._provenance or (None, ())
+    if kind == "product":
+        A, B = factors
+        return centroid(A) + centroid(B)
+    if kind == "double_cone":
+        (B,) = factors
+        scale = Fraction(B.dim + 1, B.dim + 2)
+        return tuple(scale * c for c in centroid(B)) + (Fraction(0),)
+    return _fan_moments(P)[1]
 
 
 def facet_lattice_basis(facet):
@@ -585,20 +599,16 @@ def _solve_integer_least(cols, target):
     return sol
 
 
+@per_polytope
 def facet_polytope(P, facet):
     """The facet as a full-dimensional polytope of its own lattice: (sub, basis, anchor).
 
     sub is the hull of the facet's vertices in the coordinates of
     facet_coordinates (the direction lattice's basis, anchored at the first
-    vertex).  The triple is built once per facet and kept on P, keyed by the
-    facet's (normal, offset).
+    vertex).  The triple is built once per facet and kept in P's memo.
     """
-    key = (facet.normal, facet.offset)
-    got = P._facet_polytopes.get(key)
-    if got is None:
-        coords, basis, anchor = facet_coordinates(facet, facet.vertices)
-        got = P._facet_polytopes[key] = (Polytope(coords), basis, anchor)
-    return got
+    coords, basis, anchor = facet_coordinates(facet, facet.vertices)
+    return Polytope(coords), basis, anchor
 
 
 def _facet_with_normal(P, normal):

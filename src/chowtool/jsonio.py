@@ -37,6 +37,10 @@ def polytope_from_json(data):
         if not isinstance(row, list):
             raise ParseError("each vertex must be a list of integers")
         rows.append(tuple(_require_int(x, "vertex coordinate") for x in row))
+    if len({len(row) for row in rows}) != 1:
+        raise ParseError("vertices of mixed length")
+    if not rows[0]:
+        raise ParseError("each vertex needs at least one coordinate")
     dim = data.get("dim")
     if dim is not None and _require_int(dim, "dim") != len(rows[0]):
         raise ParseError(f"dim = {dim} does not match vertex length {len(rows[0])}")
@@ -90,9 +94,7 @@ def triangulation_from_json(data):
     dim = len(simplices[0]) - 1
     if "dim" in data and _require_int(data["dim"], "dim") != dim:
         raise ParseError(f"dim = {data['dim']} does not match the simplex dimension {dim}")
-    return triangulation.Triangulation.from_blocks(
-        dim, triangulation.cell_blocks(simplices), strategy="user"
-    )
+    return triangulation.Triangulation.from_blocks(dim, triangulation.cell_blocks(simplices))
 
 
 def load_triangulation(path):

@@ -39,6 +39,7 @@ from .geometry import (
     lattice_points,
     double_cone,
     is_reflexive,
+    per_polytope,
     _fan_simplices,
 )
 from .ehrhart import count
@@ -63,7 +64,7 @@ from .triangulation import (
     _facet_as_aligned_box,
     _freudenthal_box_block,
 )
-from .linalg import dot, vec_sub, independent_rows, solve_int, solve_rational, primitive
+from .linalg import dot, vec_add, vec_sub, independent_rows, solve_int, solve_rational, primitive
 from .lp import solve_lp
 
 # polytopes whose weak-symmetry check would enumerate more points than this
@@ -201,7 +202,7 @@ def _vertex_weights(carrier):
 def scaled_fan_carrier(P, k):
     """Carrier for functions linear on all of kP: the k-scaled vertex fan."""
     cells = [[tuple(k * x for x in p) for p in s] for s in _fan_simplices(P)]
-    return Triangulation.from_blocks(P.dim, cell_blocks(cells), strategy="scaled-fan")
+    return Triangulation.from_blocks(P.dim, cell_blocks(cells))
 
 
 def affine_pl_function(P, k, a, sign=1):
@@ -251,9 +252,7 @@ def bipyramid_carrier(Q):
         ]
         up, dn = len(corners), len(corners) + 1
         cells = [c + (apex,) for c in chains for apex in (up, dn)]
-        carrier = Triangulation.from_blocks(
-            n + 1, [(corners + [apex_up, apex_dn], cells)], strategy="bipyramid"
-        )
+        carrier = Triangulation.from_blocks(n + 1, [(corners + [apex_up, apex_dn], cells)])
     else:
         base_cells = list(_fan_simplices(Q))
         cells = []
@@ -261,7 +260,7 @@ def bipyramid_carrier(Q):
             lifted = [v + (0,) for v in cell]
             cells.append(lifted + [apex_up])
             cells.append(lifted + [apex_dn])
-        carrier = Triangulation.from_blocks(n + 1, cell_blocks(cells), strategy="bipyramid")
+        carrier = Triangulation.from_blocks(n + 1, cell_blocks(cells))
 
     def locate_base(p):
         """Barycentric weights of p inside some base cell of Q."""
@@ -468,7 +467,7 @@ def vertex_cap_instability(P, v):
         kind="vertex-cap",
         k=k,
         gap=gap,
-        function=_vertex_cap_function(P, v, u, k),
+        function=_vertex_cap_function(P, v, u, k, dirs, cap_poly),
         detail=f"unit cap at vertex {v} (marked informal criterion)",
     ).verify(P)
     checks.append(
@@ -502,20 +501,21 @@ def _solve_functional(dirs, d):
     return u
 
 
-def _vertex_cap_function(P, v, u, k):
+def _vertex_cap_function(P, v, u, k, dirs, cap_poly):
     """One-sided cap PLFunction at dilation k, or None when no carrier fits.
 
     The carrier splits kP along u(x) = k u(v) - 1 into the cap cone from kv
     and the remainder, each triangulated from its own point; only linearity
     per cell matters for the gap, and the cap is convex by construction.
+    dirs are the edge directions at v and cap_poly the unit cap at v, both
+    from vertex_cap_instability.  The cap at kv is cap_poly moved by
+    (k - 1)v, and a hull moves with its points, so the cap's fan from kv is
+    cap_poly's fan from v moved the same way; only the remainder is hulled.
     """
     d = P.dim
-    umax = dot(u, v)
-    cut = k * umax - 1
-    kv = tuple(k * x for x in v)
-    dirs = _edges_at_vertex(P, v)
+    cut = k * dot(u, v) - 1
+    shift = tuple((k - 1) * x for x in v)
     base_pts = [tuple(k * a + b for a, b in zip(v, e)) for e in dirs]
-    cap = Polytope(sorted(base_pts) + [kv])  # cap pyramid
     rest_verts = sorted(
         set(tuple(k * x for x in w) for w in P.vertices if w != v)
         | set(base_pts)
@@ -524,8 +524,8 @@ def _vertex_cap_function(P, v, u, k):
         rest = Polytope(rest_verts)
     except NotFullDimensional:
         return None
-    cells = list(_fan_simplices(cap, kv)) + list(_fan_simplices(rest))
-    carrier = Triangulation.from_blocks(d, cell_blocks(cells), strategy="vertex-cap split")
+    cap_cells = [[vec_add(shift, p) for p in s] for s in _fan_simplices(cap_poly, v)]
+    carrier = Triangulation.from_blocks(d, cell_blocks(cap_cells + list(_fan_simplices(rest))))
     values = {}
     for p in lattice_points(P, k):
         values[p] = Fraction(max(0, dot(u, p) - cut))
@@ -537,40 +537,33 @@ def _vertex_cap_function(P, v, u, k):
 # ---------------------------------------------------------------------------
 
 
+@per_polytope
 def _weak_symmetry_check(P):
     """(check, witness_or_None) honoring the enumeration budget.
 
     Symmetric polytopes short-circuit: FO is invariant under composing the
     functional with a lattice automorphism, so FO(a, k) equals FO of the
     group average of a, which is constant when the fixed subspace is 0, and
-    FO of a constant vanishes.  The result is a function of P alone, so it
-    is computed once per polytope.
+    FO of a constant vanishes.  is_symmetric needs the origin interior,
+    which every offset >= 1 gives, and so do the factors it answers from: a
+    product's or double cone's carry offsets of its own facets, and a dual's
+    is reflexive.  The result is a function of P alone, so it is computed
+    once per polytope.
     """
-    if P._weak_symmetry is None:
-        P._weak_symmetry = _run_weak_symmetry_check(P)
-    return P._weak_symmetry
-
-
-def _run_weak_symmetry_check(P):
     n = P.dim
-    if all(f.offset >= 1 for f in P.facets):
-        try:
-            symmetric = is_symmetric(P)
-        except OriginNotInterior:
-            symmetric = False
-        if symmetric:
-            return (
-                Check.make(
-                    "weakly symmetric",
-                    True,
-                    detail=(
-                        "symmetric: the automorphism group fixes only 0, every "
-                        "invariant affine functional is constant, FO vanishes "
-                        "identically"
-                    ),
+    if all(f.offset >= 1 for f in P.facets) and is_symmetric(P):
+        return (
+            Check.make(
+                "weakly symmetric",
+                True,
+                detail=(
+                    "symmetric: the automorphism group fixes only 0, every "
+                    "invariant affine functional is constant, FO vanishes "
+                    "identically"
                 ),
-                None,
-            )
+            ),
+            None,
+        )
     est = volume(P) * Fraction(n + 3) ** n
     if est > _WEAK_SYMMETRY_POINT_BUDGET:
         return (

@@ -67,6 +67,7 @@ from .errors import DegenerateSimplex, NoStrategy, NotReflexive
 from .geometry import (
     centroid,
     facet_polytope,
+    per_polytope,
     boundary_volume,
     lattice_points,
     hull_facets,
@@ -221,13 +222,12 @@ class Triangulation:
     dim: int
     points: tuple
     cells: tuple
-    strategy: str = "explicit"
 
-    def __init__(self, dim, simplices, strategy="explicit"):
-        self._assemble(dim, cell_blocks(map(_vertices_of, simplices)), strategy)
+    def __init__(self, dim, simplices):
+        self._assemble(dim, cell_blocks(map(_vertices_of, simplices)))
 
     @classmethod
-    def from_blocks(cls, dim, blocks, strategy="explicit"):
+    def from_blocks(cls, dim, blocks):
         """The triangulation whose cells are those of every block.
 
         A block is (images, cells): a sequence of lattice points and cells
@@ -235,13 +235,12 @@ class Triangulation:
         become one entry of the point table.
         """
         T = cls.__new__(cls)
-        T._assemble(dim, blocks, strategy)
+        T._assemble(dim, blocks)
         return T
 
-    def _assemble(self, dim, blocks, strategy):
+    def _assemble(self, dim, blocks):
         self.dim = dim
         self.points, self.cells = _point_table(blocks)
-        self.strategy = strategy
         self._incidence = None
         self._volumes = None
 
@@ -436,7 +435,7 @@ def standard_simplex_triangulation(n, k):
     kT_n has dimension n-r and the walls form one run.
     """
     points, _, cells = _alcove_pattern(n, k)
-    return Triangulation.from_blocks(n, [(points, cells)], strategy="alcove")
+    return Triangulation.from_blocks(n, [(points, cells)])
 
 
 def _alcove_block(verts, k):
@@ -698,6 +697,7 @@ def _best_cycle_triangulation(cycle, weights):
     return list(res[2])
 
 
+@per_polytope
 def level1_boundary(P):
     """Per-facet unimodular triangulation of the undilated boundary.
 
@@ -705,45 +705,30 @@ def level1_boundary(P):
     box is the facet's _facet_as_aligned_box (None off boxes); raises
     NoStrategy when a facet fits none of the built-in shapes.
     """
-    if P._level1 is None:
-        P._level1 = tuple(
-            (f, tuple(tuple(cell) for cell in cells), box)
-            for f, cells, box in _level1_cells(P)
-        )
-    return P._level1
-
-
-def _level1_cells(P):
     n = P.dim
     if n == 1:
-        return [(f, [[f.vertices[0]]], None) for f in P.facets]
+        return tuple((f, ((f.vertices[0],),), None) for f in P.facets)
     out = []
     for f in P.facets:
         box = _facet_as_aligned_box(f)
         m_simplex = _facet_as_dilated_simplex(f)
         if m_simplex is not None:
             m, small = m_simplex
-            if m == 1:
-                out.append((f, [list(small)], box))
-            else:
-                out.append((f, refine_anchored(small, m), box))
-            continue
-        if box is not None:
+            cells = [small] if m == 1 else refine_anchored(small, m)
+        elif box is not None:
             active, los, his = box
-            cells = []
-            for cell in _freudenthal_box_cells(
-                [los[i] for i in active], [his[i] for i in active]
-            ):
-                cells.append([_embed(active, los, p) for p in cell])
-            out.append((f, cells, box))
-            continue
-        if n == 3:
-            out.append((f, _polygon_facet_level1(P, f), None))
-            continue
-        raise NoStrategy(
-            f"no triangulation strategy for facet with normal {f.normal}"
-        )
-    return out
+            cells = [
+                [_embed(active, los, p) for p in cell]
+                for cell in _freudenthal_box_cells(
+                    [los[i] for i in active], [his[i] for i in active]
+                )
+            ]
+        elif n == 3:
+            cells = _polygon_facet_level1(P, f)
+        else:
+            raise NoStrategy(f"no triangulation strategy for facet with normal {f.normal}")
+        out.append((f, tuple(tuple(cell) for cell in cells), box))
+    return tuple(out)
 
 
 def boundary_triangulation(P, k):
@@ -758,7 +743,7 @@ def boundary_triangulation(P, k):
     n = P.dim
     if n == 1:
         points = [(k * f.vertices[0][0],) for f in P.facets]
-        return Triangulation.from_blocks(0, cell_blocks([p] for p in points), "segments")
+        return Triangulation.from_blocks(0, cell_blocks([p] for p in points))
     blocks = []
     for facet, cells, box in level1_boundary(P):
         if box is None:
@@ -770,7 +755,7 @@ def boundary_triangulation(P, k):
             [k * los[i] for i in active], [k * his[i] for i in active]
         )
         blocks.append(([_embed(active, fixed, p) for p in points], box_cells))
-    return Triangulation.from_blocks(n - 1, blocks, strategy="facets")
+    return Triangulation.from_blocks(n - 1, blocks)
 
 
 def cone_over_boundary(P, boundary_tri):
@@ -787,7 +772,7 @@ def cone_over_boundary(P, boundary_tri):
         raise AssertionError("the boundary triangulation passes through the origin")
     images = (origin,) + boundary_tri.points
     cells = [(0,) + tuple(i + 1 for i in c) for c in boundary_tri.cells]
-    return Triangulation.from_blocks(n, [(images, cells)], strategy="cone")
+    return Triangulation.from_blocks(n, [(images, cells)])
 
 
 def polygon_unimodular_triangulation(Q, valence=None):
@@ -866,24 +851,23 @@ def _bipyramid_exclusions(Q, tris):
     return out
 
 
+@per_polytope
 def _bipyramid_cycles(P):
     """The equator cycles (p, excl, q) of full_triangulation's bipyramid over
     the double cone P = D(Q) of a polygon Q, lifted to height 0.
 
     One cycle per triangle of polygon_unimodular_triangulation(Q), with the
     vertex _bipyramid_exclusions picks in the middle.  Both depend on Q
-    alone, so they are built once per double cone and kept on P beside its
-    level-1 boundary.
+    alone, so they are built once per double cone and kept in its memo
+    beside its level-1 boundary.
     """
-    if P._bipyramid_cycles is None:
-        Q = P._provenance[1][0]
-        tris = [tuple(t) for t in polygon_unimodular_triangulation(Q)]
-        cycles = []
-        for tri, excl in zip(tris, _bipyramid_exclusions(Q, tris)):
-            p, q = sorted(v for v in tri if v != excl)
-            cycles.append((p + (0,), excl + (0,), q + (0,)))
-        P._bipyramid_cycles = tuple(cycles)
-    return P._bipyramid_cycles
+    Q = P._provenance[1][0]
+    tris = [tuple(t) for t in polygon_unimodular_triangulation(Q)]
+    cycles = []
+    for tri, excl in zip(tris, _bipyramid_exclusions(Q, tris)):
+        p, q = sorted(v for v in tri if v != excl)
+        cycles.append((p + (0,), excl + (0,), q + (0,)))
+    return tuple(cycles)
 
 
 def full_triangulation(P, k):
@@ -909,11 +893,11 @@ def full_triangulation(P, k):
                 # so dilated edges [apex, p], [apex, q] meet only 4 cells of
                 # this refinement; excl sits opposite the apex
                 blocks.append(_alcove_block([apex, *cycle], k))
-        return Triangulation.from_blocks(n, blocks, strategy="bipyramid-refined")
+        return Triangulation.from_blocks(n, blocks)
     for facet, cells, _ in level1_boundary(P):
         for cell in cells:
             blocks.append(_alcove_block(sorted((origin,) + cell), k))
-    return Triangulation.from_blocks(n, blocks, strategy="refined-cone")
+    return Triangulation.from_blocks(n, blocks)
 
 
 def delaunay_triangulation(points):
@@ -931,9 +915,9 @@ def delaunay_triangulation(points):
     n = len(pts[0])
     if n == 1:
         cells = [(i, i + 1) for i in range(len(pts) - 1)]
-        return Triangulation.from_blocks(1, [(pts, cells)], strategy="delaunay")
+        return Triangulation.from_blocks(1, [(pts, cells)])
     if len(pts) == n + 1 and det_int([vec_sub(q, pts[0]) for q in pts[1:]]):
-        return Triangulation.from_blocks(n, [(pts, [tuple(range(n + 1))])], strategy="delaunay")
+        return Triangulation.from_blocks(n, [(pts, [tuple(range(n + 1))])])
     lifted = [p + (sum(x * x for x in p),) for p in pts]
     index = {q: i for i, q in enumerate(lifted)}
     cells = [
@@ -941,7 +925,7 @@ def delaunay_triangulation(points):
         for raw in hull_facets(lifted)
         if raw.normal[-1] > 0
     ]
-    return Triangulation.from_blocks(n, [(pts, cells)], strategy="delaunay")
+    return Triangulation.from_blocks(n, [(pts, cells)])
 
 
 # ---------------------------------------------------------------------------

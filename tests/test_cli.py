@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chowtool
 from chowtool.cli import main
@@ -14,7 +15,7 @@ from chowtool.jsonio import (
     triangulation_from_json,
     render_svg,
 )
-from chowtool.errors import ParseError
+from chowtool.errors import ChowToolError, ParseError
 from chowtool import catalog
 
 
@@ -177,6 +178,31 @@ def test_triangulation_json():
     assert len(T) == 2
 
 
+_BAD_POLYTOPES = [
+    [[0, 0], [1, 0], [0, 1]],
+    {"dim": 2},
+    {"vertices": []},
+    {"vertices": [0, 1]},
+    {"vertices": [[0, True], [1, 0], [0, 1]]},
+    {"vertices": [[0, 0], [1, 0], [0, 1]], "name": 7},
+    {"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]]},
+    {"vertices": [[1, 2], [3]]},
+    {"vertices": [[]]},
+]
+
+
+@pytest.mark.parametrize("data", _BAD_POLYTOPES)
+def test_malformed_polytope_json_is_a_parse_error(data, capsys, tmp_path):
+    with pytest.raises(ParseError):
+        polytope_from_json(data)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
 _BAD_TRIANGULATIONS = [
     {"dim": "x", "simplices": [[[1, 0], [0, 1]]]},
     {"dim": 1.0, "simplices": [[[1, 0], [0, 1]]]},
@@ -256,3 +282,103 @@ def test_closed_stdout_exits_without_traceback(capsys):
     assert first.decode() == listing.splitlines(keepends=True)[0]
     assert proc.returncode == 1
     assert err == b""
+
+
+# -- fuzzing both JSON schemas -------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+_JUNK = st.one_of(
+    st.booleans(), st.floats(allow_nan=False), st.text(max_size=2), st.none(), st.just([]), st.just({})
+)
+
+
+def _lists_in(x):
+    """Every list nested in x, x included."""
+    if not isinstance(x, list):
+        return []
+    return [x] + [inner for item in x for inner in _lists_in(item)]
+
+
+@st.composite
+def _near_miss(draw, data, field):
+    """data as drawn, or with one thing wrong: a junk entry, a list cut
+    short or grown by one, a missing key, or a wrong dim."""
+    data = json.loads(json.dumps(data))
+    kind = draw(st.sampled_from(["none", "none", "junk", "cut", "grow", "drop", "dim"]))
+    lists = [x for x in _lists_in(data[field]) if x]
+    if kind in ("junk", "cut", "grow") and lists:
+        target = draw(st.sampled_from(lists))
+        i = draw(st.integers(0, len(target) - 1))
+        if kind == "junk":
+            target[i] = draw(_JUNK)
+        elif kind == "cut":
+            del target[i]
+        else:
+            target.append(json.loads(json.dumps(target[i])))
+    elif kind == "drop":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif kind == "dim":
+        data["dim"] = draw(st.one_of(st.integers(-1, 5), _JUNK))
+    return data
+
+
+@st.composite
+def _near_polytope(draw):
+    """Polytope JSON of dimension <= 3 with coordinates in [-3, 3], or a near miss."""
+    n = draw(st.integers(1, 3))
+    vertex = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    data = {"vertices": draw(st.lists(vertex, min_size=1, max_size=7))}
+    if draw(st.booleans()):
+        data["dim"] = n
+    if draw(st.booleans()):
+        data["name"] = draw(st.one_of(st.text(max_size=4), _JUNK))
+    return draw(_near_miss(data, "vertices"))
+
+
+@st.composite
+def _near_triangulation(draw):
+    """Triangulation JSON of dimension <= 3 with coordinates in [-3, 3], or a near miss."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.one_of(st.just(n - 1), st.integers(0, n)))
+    vertex = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    simplex = st.lists(vertex, min_size=d + 1, max_size=d + 1)
+    data = {"simplices": draw(st.lists(simplex, min_size=1, max_size=5))}
+    if draw(st.booleans()):
+        data["dim"] = d
+    return draw(_near_miss(data, "simplices"))
+
+
+def _exits_cleanly(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in out + err
+    assert (code == 1) == err.startswith("error:")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(_near_polytope(), _JSON))
+def test_fuzzed_polytope_json_parses_or_is_refused(data, capsys, tmp_path):
+    try:
+        polytope_from_json(data)
+    except ChowToolError:
+        pass
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    _exits_cleanly(["ehrhart", str(path)], capsys)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(_near_triangulation(), _JSON))
+def test_fuzzed_triangulation_json_parses_or_is_refused(data, capsys, tmp_path):
+    try:
+        triangulation_from_json(data)
+    except ChowToolError:
+        pass
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(data))
+    _exits_cleanly(["triangulate", "X3", "--triangulation", str(path)], capsys)

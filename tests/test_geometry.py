@@ -29,6 +29,7 @@ from chowtool.geometry import (
     dual,
     double_cone,
     facet_coordinates,
+    facet_polytope,
     facet_relative_volume,
     lattice_shells,
 )
@@ -386,7 +387,7 @@ def test_facet_relative_volume_matches_per_call_facet_hull(name):
     # volumes from, so every non-simplex facet goes through its facet polytope
     bare = copy.copy(P)
     bare._provenance = None
-    bare._facet_polytopes = {}
+    bare._memo = {}
     for f in P.facets:
         if len(f.vertices) > P.dim:
             want = _facet_volume_per_call(f)
@@ -441,6 +442,16 @@ def assert_derivation_holds(R):
         assert facet_relative_volume(R, f) * factorial(R.dim - 1) * h == cone_volume[f], f
 
 
+def test_with_name_clone_shares_no_memo_with_its_original():
+    P = Polytope(list(iproduct((0, 1), repeat=3)))
+    assert volume(P) == 1
+    Q = P.with_name("unit cube")
+    f = Q.facets[0]
+    # the clone computes its own facts and leaves its original's alone
+    assert facet_polytope(Q, f) is not facet_polytope(P, f)
+    assert volume(Q) == 1
+
+
 def test_constructors_leave_their_factors_caches_unset():
     # building a product or a double cone computes no fact of its factors:
     # each is read from them on first use
@@ -451,7 +462,7 @@ def test_constructors_leave_their_factors_caches_unset():
     double_cone(A)
     double_cone(product(B, seg))
     for Q in (A, B, seg):
-        assert Q._volume is None and Q._centroid is None, Q
+        assert Q._memo == {}, Q
 
 
 def test_product_with_a_dual_factor_runs_no_hull(monkeypatch):

@@ -101,3 +101,36 @@ def test_scan_sees_every_assert():
 def test_module_has_no_assert_statement(path):
     # python -O strips asserts, so every invariant check in src/ is an explicit raise
     assert _assert_lines(path.read_text()) == []
+
+
+def _foreign_attribute_stores(source):
+    """Line numbers where a module stores an attribute on an object it did
+    not make: any attribute store or delete on a name other than self, and
+    any setattr call."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("setattr", "delattr"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_sees_every_foreign_attribute_store():
+    source = (
+        "class T:\n    def __init__(self):\n        self.x = 1\n"
+        "def f(P):\n    P._memo = {}\n    P.a.b += 1\n    del P._x\n"
+        "    setattr(P, 'y', 2)\n    P._memo[1] = 2\n    return P.dim\n"
+    )
+    assert _foreign_attribute_stores(source) == [5, 6, 7, 8]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "geometry.py"], ids=lambda p: p.name
+)
+def test_only_geometry_stores_attributes_on_a_polytope(path):
+    # a fact of a polytope computed on first use goes through
+    # geometry.per_polytope, so no other module declares a cache on Polytope
+    assert _foreign_attribute_stores(path.read_text()) == []

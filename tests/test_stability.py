@@ -174,14 +174,20 @@ def test_vertex_cap_non_integral_cut():
         vertex_cap_instability(double_cone(C3), (1, 1, 1, 0))
 
 
+def _unit_cap(P, v):
+    """(edge directions at v, hull of v and v + each direction)."""
+    from chowtool.stability import _edges_at_vertex
+
+    dirs = _edges_at_vertex(P, v)
+    return dirs, Polytope([v] + [tuple(a + b for a, b in zip(v, e)) for e in dirs])
+
+
 def _cap_base_facet_volume(P, v):
     """Oracle for the relative base volume of the unit cap at v: the hull of
     the cap and facet_relative_volume of its one facet missing v."""
     from chowtool.geometry import facet_relative_volume
-    from chowtool.stability import _edges_at_vertex
 
-    base_pts = [tuple(a + b for a, b in zip(v, e)) for e in _edges_at_vertex(P, v)]
-    cap = Polytope([v] + base_pts)
+    _, cap = _unit_cap(P, v)
     (base,) = [f for f in cap.facets if f.value(v) != 0]
     return facet_relative_volume(cap, base)
 
@@ -234,26 +240,78 @@ def test_vertex_cap_function_none_when_rest_is_lower_dimensional():
     # unimodular simplex at k = 1: cutting off the vertex 0 leaves only the
     # facet opposite it, so the rest has no full-dimensional hull
     T3 = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert _vertex_cap_function(T3, (0, 0, 0), (-1, -1, -1), 1) is None
+    v = (0, 0, 0)
+    assert _vertex_cap_function(T3, v, (-1, -1, -1), 1, *_unit_cap(T3, v)) is None
 
 
 def test_vertex_cap_function_propagates_unexpected_errors(monkeypatch):
     from chowtool import stability
 
-    real = stability.Polytope
+    v = (1, 1)
+    cap = _unit_cap(X8, v)
     calls = []
 
     def flaky(points, *args, **kwargs):
-        # the cap pyramid is built first, then the rest of kP
+        # the cap pyramid comes in built, so the rest of kP is the one build
         calls.append(points)
-        if len(calls) == 2:
-            raise RuntimeError("bug while building the rest")
-        return real(points, *args, **kwargs)
+        raise RuntimeError("bug while building the rest")
 
     monkeypatch.setattr(stability, "Polytope", flaky)
     with pytest.raises(RuntimeError):
-        stability._vertex_cap_function(X8, (1, 1), (1, 1), 1)
-    assert len(calls) == 2
+        stability._vertex_cap_function(X8, v, (1, 1), 1, *cap)
+    assert len(calls) == 1
+
+
+def _vertex_cap_carrier_by_hulls(P, v, k):
+    """The cap function's carrier with the dilated cap at kv hulled anew,
+    the oracle of the unit cap moved by (k - 1)v."""
+    from chowtool.stability import _edges_at_vertex
+
+    kv = tuple(k * x for x in v)
+    base_pts = [tuple(k * a + b for a, b in zip(v, e)) for e in _edges_at_vertex(P, v)]
+    cap = Polytope(base_pts + [kv])
+    rest = Polytope({tuple(k * x for x in w) for w in P.vertices if w != v} | set(base_pts))
+    cells = list(_fan_simplices(cap, kv)) + list(_fan_simplices(rest))
+    return Triangulation.from_blocks(P.dim, cell_blocks(cells))
+
+
+@pytest.mark.parametrize(
+    "points, v",
+    [
+        ([(0, 0), (-3, 1), (3, 1), (-3, 4), (3, 4)], (-3, 4)),
+        ([(0, 0), (-3, 1), (3, 1), (0, 2)], (0, 2)),
+        ([(0, 0, 0), (-3, 0, 1), (3, 0, 1), (0, -3, 1), (0, 3, 1), (0, 0, 2)], (0, 0, 2)),
+        (double_cone(cube(3)).vertices, (0, 0, 0, 1)),
+    ],
+)
+def test_vertex_cap_carrier_is_the_unit_cap_moved_to_kv(points, v):
+    from chowtool.stability import _solve_functional, _vertex_cap_function
+
+    P = Polytope(points)
+    dirs, cap = _unit_cap(P, v)
+    u = _solve_functional(dirs, P.dim)
+    for k in range(1, 4):
+        got = _vertex_cap_function(P, v, u, k, dirs, cap).carrier
+        want = _vertex_cap_carrier_by_hulls(P, v, k)
+        assert (got.points, got.cells) == (want.points, want.cells), k
+
+
+def test_vertex_cap_instability_runs_two_hulls(monkeypatch):
+    import chowtool.geometry as geometry
+
+    P = Polytope([(0, 0), (-3, 1), (3, 1), (-3, 4), (3, 4)])
+    hulled = []
+    real = geometry.convex_hull
+
+    def counted(points):
+        hulled.append(points)
+        return real(points)
+
+    monkeypatch.setattr(geometry, "convex_hull", counted)
+    verdict = vertex_cap_instability(P, (0, 0))
+    assert verdict.status == NOT_SEMISTABLE and verdict.certificate.function is not None
+    # the unit cap and the rest of kP: the cap at kv is the unit cap moved
+    assert len(hulled) == 2
 
 
 def test_check_special_2d():
@@ -495,11 +553,12 @@ def test_check_special_runs_each_facet_hull_once(monkeypatch):
     monkeypatch.setattr(geometry, "convex_hull", counted)
     assert check_special(P).status == POLYSTABLE
     # one hull per square facet, in the facet's own lattice coordinates,
-    # kept on P under the facet's (normal, offset)
+    # kept in P's memo under the facet
     assert len(faces) == 6
     want = [tuple(sorted(geometry.facet_coordinates(f, f.vertices)[0])) for f in faces]
     assert sorted(hulled) == sorted(want)
-    assert sorted(P._facet_polytopes) == sorted((f.normal, f.offset) for f in faces)
+    kept = [args for fn, args in P._memo if fn is geometry.facet_polytope]
+    assert set(kept) == {(f,) for f in faces}
 
 
 _WRONG_GAP_PROBE = """
@@ -818,7 +877,7 @@ def _bipyramid_carrier_by_cells(Q):
         lifted = [v + (0,) for v in cell]
         cells.append(lifted + [(0,) * n + (1,)])
         cells.append(lifted + [(0,) * n + (-1,)])
-    return Triangulation.from_blocks(n + 1, cell_blocks(cells), strategy="bipyramid")
+    return Triangulation.from_blocks(n + 1, cell_blocks(cells))
 
 
 def _box_locate_by_fractions(Q, point):
@@ -851,7 +910,6 @@ def test_bipyramid_carrier_matches_cell_oracle(Q):
     oracle = _bipyramid_carrier_by_cells(Q)
     assert carrier.points == oracle.points
     assert carrier.cells == oracle.cells
-    assert carrier.strategy == oracle.strategy == "bipyramid"
 
 
 def test_bipyramid_carrier_of_cube7_peaks_under_a_third_of_the_cell_oracle():

@@ -1205,7 +1205,6 @@ def test_bipyramid_base_is_built_once_per_double_cone(name, monkeypatch):
         monkeypatch.setattr(triangulation, fn.__name__, counted(fn))
     for k in range(1, 5):
         T = full_triangulation(D, k)
-        assert T.strategy == "bipyramid-refined"
         assert [s.vertices for s in T.simplices] == [s.vertices for s in oracle[k]]
     assert calls == {"polygon_unimodular_triangulation": 1, "_bipyramid_exclusions": 1}
 
