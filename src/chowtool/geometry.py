@@ -413,44 +413,65 @@ def lattice_points(P, k):
 
 
 def _box_scan(P, k):
+    """The lattice points of kP by the pruned bounding-box scan, sorted.
+
+    Coordinates are fixed left to right.  At coordinate j each facet
+    <normal, x> >= rhs, with the coordinates before j fixed and the ones
+    after j at their most favourable box corner, bounds x_j from one side
+    when normal_j != 0, and is a plain test when normal_j = 0.  The last
+    coordinate's feasible range is emitted whole, and fixing x_j updates
+    the partial sums of only the facets with normal_j != 0.
+    """
     n = P.dim
     los, his = P.bounding_box(k)
     norms = [f.normal for f in P.facets]
-    rhs = [-k * f.offset for f in P.facets]  # need <normal, x> >= rhs
-    # suffix extrema of each facet functional over the box
-    suf_min = [[0] * (n + 1) for _ in norms]
-    suf_max = [[0] * (n + 1) for _ in norms]
-    for fi, nml in enumerate(norms):
+    # slack[fi][j]: rhs of facet fi less the largest value its terms past
+    # coordinate j take over the box, so x_j must satisfy
+    # partial[fi] + normal_j x_j >= slack[fi][j]
+    slack = []
+    for f in P.facets:
+        nml = f.normal
+        col = [0] * n
+        acc = -k * f.offset
         for j in range(n - 1, -1, -1):
-            c = nml[j]
-            lo_term = min(c * los[j], c * his[j])
-            hi_term = max(c * los[j], c * his[j])
-            suf_min[fi][j] = suf_min[fi][j + 1] + lo_term
-            suf_max[fi][j] = suf_max[fi][j + 1] + hi_term
-
+            col[j] = acc
+            acc -= max(nml[j] * los[j], nml[j] * his[j])
+        slack.append(col)
+    # per coordinate j: (fi, normal_j) for the facets with normal_j != 0,
+    # and the facets with normal_j = 0
+    moving = [[(fi, nml[j]) for fi, nml in enumerate(norms) if nml[j]] for j in range(n)]
+    flat = [[fi for fi, nml in enumerate(norms) if not nml[j]] for j in range(n)]
+    last = n - 1
     out = []
     point = [0] * n
 
     def rec(j, partial):
         # partial[fi] = sum over coords < j of normal[fi] . point
-        if j == n:
-            out.append(tuple(point))
-            return
-        lo, hi = los[j], his[j]
-        for fi, nml in enumerate(norms):
-            c = nml[j]
-            bound = rhs[fi] - partial[fi] - suf_max[fi][j + 1]
-            if c > 0:
-                lo = max(lo, -((-bound) // c))  # ceil(bound / c)
-            elif c < 0:
-                hi = min(hi, bound // c)  # floor(bound / c), c negative
-            elif bound > 0:
+        for fi in flat[j]:
+            if partial[fi] < slack[fi][j]:
                 return
+        lo, hi = los[j], his[j]
+        step = moving[j]
+        for fi, c in step:
+            if c > 0:
+                low = -((partial[fi] - slack[fi][j]) // c)  # ceil((slack - partial) / c)
+                if low > lo:
+                    lo = low
+            else:
+                high = (slack[fi][j] - partial[fi]) // c  # floor, c negative
+                if high < hi:
+                    hi = high
         if lo > hi:
+            return
+        if j == last:
+            prefix = tuple(point[:last])
+            out.extend(prefix + (x,) for x in range(lo, hi + 1))
             return
         for x in range(lo, hi + 1):
             point[j] = x
-            new_partial = [partial[fi] + norms[fi][j] * x for fi in range(len(norms))]
+            new_partial = partial[:]
+            for fi, c in step:
+                new_partial[fi] += c * x
             rec(j + 1, new_partial)
 
     rec(0, [0] * len(norms))

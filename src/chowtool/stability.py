@@ -20,6 +20,7 @@ is not group-invariant.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, prod
 
 from .errors import (
@@ -463,11 +464,12 @@ def vertex_cap_instability(P, v):
         )
     cap_integral = relvol / Fraction(d * (d + 1))
     k, gap = _first_negative_cap_gap(P, 1, cap_integral)
+    function = _vertex_cap_function(P, v, u, k, dirs, cap_poly)
     certificate = Certificate(
         kind="vertex-cap",
         k=k,
         gap=gap,
-        function=_vertex_cap_function(P, v, u, k, dirs, cap_poly),
+        function=function,
         detail=f"unit cap at vertex {v} (marked informal criterion)",
     ).verify(P)
     checks.append(
@@ -479,6 +481,19 @@ def vertex_cap_instability(P, v):
             gap=gap,
         )
     )
+    if function is None:
+        checks.append(
+            Check.make(
+                "vertex-cap function",
+                False,
+                detail=(
+                    f"skipped: at k = {k} the rest of kP past the cut is not "
+                    "full-dimensional, so there is no carrier; the certificate "
+                    "carries the analytic gap only, not re-evaluated"
+                ),
+                k=k,
+            )
+        )
     return StabilityVerdict(
         status=NOT_SEMISTABLE,
         checks=checks,
@@ -606,14 +621,46 @@ def _k_max(P, k_max):
     return k_max
 
 
+def _stratum_maxima(T):
+    """(reach, worst) of the strata of a regular level-1 boundary table T.
+
+    reach[j] is the largest stratum incidence over T's faces of dimension
+    <= j.  worst is None when every stratum stays within n!, and otherwise
+    (dimension, incidence, vertices) of the least face among the strata of
+    the largest incidence, the lowest dimension first.
+    """
+    strata = T.stratum_incidence()
+    largest = [0] * (T.dim + 1)
+    for face, count in strata.items():
+        j = len(face) - 1
+        if count > largest[j]:
+            largest[j] = count
+    reach = tuple(accumulate(largest, max))
+    top = reach[-1]
+    if top <= factorial(T.dim + 1):
+        return reach, None
+    j = largest.index(top)
+    face = min(f for f, c in strata.items() if len(f) == j + 1 and c == top)
+    return reach, (j, top, tuple(map(T.points.__getitem__, face)))
+
+
 def check_special(P, k_max=None):
     """Reflexive + weakly symmetric + regular boundary = asymptotically Chow
     polystable (the special-polytope theorem).
 
-    Regularity is verified at k = 1..k_max on strategy-built triangulations;
-    those refine the dilation of a fixed level-1 boundary complex, so the
-    incidence at a point depends only on its stratum and the finite check
-    extends to every k (the per-k maxima are recorded to witness stability).
+    Only the level-1 boundary table is built and verified: coverage,
+    unimodularity, face compatibility and facet alignment carry over to its
+    alcove refinements, which are the strategy-built tables of every kP.
+    The incidence at a point of kP depends only on its stratum, the face F
+    of the level-1 complex with the point in relint(kF), and is the
+    run-product sum of Triangulation.stratum_incidence: over the cells σ ⊇
+    F, (d+1)!/prod (r_i+1)! with r_i the cyclic runs of σ's ids missing
+    from F.  A j-face has points in kP once k > j, so the maximum at k
+    (recorded for k = 1..k_max) is the largest stratum incidence of
+    dimension <= k - 1; a dilated table is rebuilt only when that exceeds
+    n!, so that its report names the offending points.  Every stratum,
+    sampled by k <= k_max or not, must stay within n!, which makes the
+    bound hold for all k.
     """
     n = P.dim
     k_max = _k_max(P, k_max)
@@ -644,28 +691,58 @@ def check_special(P, k_max=None):
             )
         )
         return StabilityVerdict(POLYSTABLE, checks, polytope_name=P.name)
-    maxima = []
-    for k in range(1, k_max + 1):
-        try:
-            # the table of kP is bound to no name, so it is freed with its
-            # report, before the table of (k+1)P is built
-            report = verify_regular_boundary(P, boundary_triangulation(P, k), k)
-        except NoStrategy as exc:
-            checks.append(
-                Check.make("regular boundary", False, detail=f"no strategy: {exc}")
-            )
-            return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-        maxima.append(report.max_incidence)
+    bound = factorial(n)
+    try:
+        level1 = boundary_triangulation(P, 1)
+    except NoStrategy as exc:
+        checks.append(
+            Check.make("regular boundary", False, detail=f"no strategy: {exc}")
+        )
+        return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
+    report = verify_regular_boundary(P, level1, 1)
+    maxima = [report.max_incidence]
+    # reach[j]: the largest incidence on the strata of dimension <= j, and
+    # kP has points on exactly the strata of dimension <= k - 1
+    reach, worst = _stratum_maxima(level1) if report.regular else ((), None)
+    # the level-1 table is not alive when a dilated one is rebuilt
+    del level1
+    for k in range(2, k_max + 1):
         if not report.regular:
-            checks.append(
-                Check.make(
-                    "regular boundary",
-                    False,
-                    detail=f"k = {k}: {report.summary()}",
-                    offenders=report.offenders[:4],
-                )
+            break
+        sampled = reach[min(k, len(reach)) - 1]
+        if sampled > bound:
+            # rebuilt for the trail, whose report names the offending points
+            report = verify_regular_boundary(P, boundary_triangulation(P, k), k)
+            sampled = report.max_incidence
+        maxima.append(sampled)
+    if not report.regular:
+        checks.append(
+            Check.make(
+                "regular boundary",
+                False,
+                detail=f"k = {report.dilation}: {report.summary()}",
+                offenders=report.offenders[:4],
             )
-            return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
+        )
+        return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
+    if worst is not None:
+        # a stratum past n! that no sampled dilation reaches, one of
+        # dimension >= k_max
+        j, count, worst_points = worst
+        checks.append(
+            Check.make(
+                "regular boundary",
+                False,
+                detail=(
+                    f"a stratum of dimension {j} has incidence {count} > n! = "
+                    f"{bound}; k = 1..{k_max} sample dimensions up to {k_max - 1}"
+                ),
+                dimension=j,
+                incidence=count,
+                face=worst_points,
+            )
+        )
+        return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     stable_tail = len(maxima) < 2 or maxima[-1] == maxima[-2]
     checks.append(
         Check.make(
@@ -676,7 +753,7 @@ def check_special(P, k_max=None):
                 "function of the stratum so the bound holds for all k"
             ),
             max_incidence_by_k=tuple(maxima),
-            bound=factorial(n),
+            bound=bound,
             maxima_stable=stable_tail,
         )
     )

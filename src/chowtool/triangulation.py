@@ -16,6 +16,19 @@ bases of double cones), and anything else must be user-supplied.  Cell sets
 restricted to shared faces are lattice-intrinsic for the simplex/box
 strategies, which is what makes the per-facet assembly face-compatible.
 
+The boundary table of kP is the alcove refinement of the level-1 table, each
+cell refined along its lexicographic vertex cycle (a box facet's staircase
+of k times the box is that refinement of its level-1 staircase), so the
+incidence at a point depends only on its stratum: the face F of the level-1
+complex with the point in relint(kF).  By the run-product law (Lam and
+Postnikov, "Alcoved polytopes I", Discrete Comput. Geom. 38, 2007) it is
+the sum over the cells σ ⊇ F of (d+1)!/prod (r_i+1)!, with r_i the lengths
+of the cyclic runs of σ's vertices missing from F, for every k; a unimodular
+j-face has C(k-1, j) points in relint(kF).  Triangulation.stratum_incidence
+reads these sums off the level-1 table, which is the only boundary table
+the verdict path builds (stability.check_special); the dilated tables serve
+the triangulate command, the incidence criterion and the tests' oracles.
+
 A Triangulation is a point table and integer cells: points is the sorted
 tuple of its vertices, and each cell is a sorted tuple of indices into it.
 Every builder hands Triangulation.from_blocks blocks of (image points, cells
@@ -60,7 +73,7 @@ from itertools import (
     product as iter_product,
     repeat,
 )
-from math import factorial, gcd, inf
+from math import factorial, gcd, inf, prod
 from operator import add, and_, attrgetter, itemgetter, mul, sub
 
 from .errors import DegenerateSimplex, NoStrategy, NotReflexive
@@ -203,6 +216,19 @@ def _packed_cell_keys(points, cells):
     )
 
 
+def _run_product(d, face):
+    """(d+1)!/prod (r_i+1)!: the alcoves of a dilated d-simplex around a
+    point in the relative interior of the face at the sorted positions face
+    of its vertex cycle 0..d.
+
+    The r_i are the cyclic runs of missing positions: the run between
+    consecutive positions a < b of face has length b - a - 1, so (r+1)! is
+    (b - a)!, and the last run wraps past d to face[0] + d + 1.
+    """
+    gaps = map(sub, face[1:] + (face[0] + d + 1,), face)
+    return factorial(d + 1) // prod(map(factorial, gaps))
+
+
 @dataclass(init=False)
 class Triangulation:
     """A finite set of lattice simplices of equal dimension.
@@ -324,6 +350,36 @@ class Triangulation:
         every = points if index is None else tuple(index)
         self._incidence = {every[i]: c for i, c in counts.items()}
         return self._incidence
+
+    def stratum_incidence(self):
+        """{face: incidence at every lattice point of relint(kF), for every k}.
+
+        For a unimodular table whose dilations are refined by the alcove rule
+        with lexicographic vertex cycles, as boundary_triangulation's are.
+        A face F is a sorted tuple of point ids, one for every face of every
+        cell.  A point of relint(kF) lies only in alcoves of the kσ with
+        σ ⊇ F, and in (d+1)!/prod (r_i+1)! of those of kσ, where the r_i are
+        the cyclic runs of σ's ids missing from F (the run-product law,
+        _run_product); a unimodular j-face has C(k-1, j) such points.  The
+        faces at one set of positions in the cells are counted in one
+        Counter, at C level.  Raises ValueError on a table with a cell that
+        is not unimodular, where the law does not apply.
+        """
+        cells = self.cells
+        if not cells:
+            return {}
+        if not self.all_unimodular():
+            raise ValueError("stratum incidence needs a unimodular table")
+        d = len(cells[0]) - 1
+        out = {}
+        for size in range(1, d + 2):
+            for face in combinations(range(d + 1), size):
+                # itemgetter of one index returns no tuple, of a slice one
+                get = itemgetter(*face) if size > 1 else itemgetter(slice(face[0], face[0] + 1))
+                weight = _run_product(d, face)
+                for f, c in Counter(map(get, cells)).items():
+                    out[f] = out.get(f, 0) + weight * c
+        return out
 
     def ridge_counts(self):
         """Map from (d-1)-subface (sorted tuple of point ids) to the number

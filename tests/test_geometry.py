@@ -118,6 +118,53 @@ def test_lattice_points_against_plain_box_scan():
         assert lattice_points(P, k) == plain_box_scan(P, k)
 
 
+def _box_scan_by_recursion(P, k):
+    """Oracle: the pruned scan recursing down to every point, each facet's
+    partial sum updated at every coordinate."""
+    n = P.dim
+    los, his = P.bounding_box(k)
+    norms = [f.normal for f in P.facets]
+    rhs = [-k * f.offset for f in P.facets]
+    suf_max = [[0] * (n + 1) for _ in norms]
+    for fi, nml in enumerate(norms):
+        for j in range(n - 1, -1, -1):
+            suf_max[fi][j] = suf_max[fi][j + 1] + max(nml[j] * los[j], nml[j] * his[j])
+    out = []
+    point = [0] * n
+
+    def rec(j, partial):
+        if j == n:
+            out.append(tuple(point))
+            return
+        lo, hi = los[j], his[j]
+        for fi, nml in enumerate(norms):
+            c = nml[j]
+            bound = rhs[fi] - partial[fi] - suf_max[fi][j + 1]
+            if c > 0:
+                lo = max(lo, -((-bound) // c))
+            elif c < 0:
+                hi = min(hi, bound // c)
+            elif bound > 0:
+                return
+        for x in range(lo, hi + 1):
+            point[j] = x
+            rec(j + 1, [partial[fi] + norms[fi][j] * x for fi in range(len(norms))])
+
+    rec(0, [0] * len(norms))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in catalog.list_names() if catalog.get(name).polytope.dim <= 5]
+)
+def test_box_scan_matches_the_recursion_oracle_on_the_catalog(name):
+    # a fresh hull of the vertices, so the scan runs for products and double
+    # cones too, whose lattice_points read their factors
+    P = Polytope(catalog.get(name).polytope.vertices)
+    for k in (1, 2) if P.dim <= 4 else (1,):
+        assert geometry._box_scan(P, k) == _box_scan_by_recursion(P, k), k
+
+
 @pytest.mark.parametrize(
     "base, ks",
     [
@@ -522,6 +569,12 @@ def test_random_reflexive_dual_matches_its_hull(P):
     # makes every polygon reflexive but not every 3-polytope
     assume(all(f.offset == 1 for f in P.facets))
     assert_derivation_holds(dual(P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=st.one_of(origin_interior(2), origin_interior(3)), k=st.integers(1, 3))
+def test_box_scan_matches_the_recursion_oracle_on_random_polytopes(P, k):
+    assert geometry._box_scan(P, k) == _box_scan_by_recursion(P, k)
 
 
 def test_constructors_run_no_rank_elimination(monkeypatch):

@@ -244,6 +244,19 @@ def test_vertex_cap_function_none_when_rest_is_lower_dimensional():
     assert _vertex_cap_function(T3, v, (-1, -1, -1), 1, *_unit_cap(T3, v)) is None
 
 
+def test_vertex_cap_records_a_certificate_without_a_carrier():
+    # a pyramid of lattice height 1 over a base of length 6: the cap is the
+    # whole triangle, the gap is negative at k = 1, and the rest of P past
+    # the cut is the base segment
+    P = Polytope([(0, 1), (-3, 0), (3, 0)])
+    verdict = vertex_cap_instability(P, (0, 1))
+    assert verdict.status == NOT_SEMISTABLE and verdict.certificate.function is None
+    skipped = verdict.check("vertex-cap function")
+    assert skipped is not None and not skipped.passed
+    assert skipped.detail.startswith("skipped: at k = 1 the rest of kP")
+    assert dict(skipped.data) == {"k": "1"}
+
+
 def test_vertex_cap_function_propagates_unexpected_errors(monkeypatch):
     from chowtool import stability
 
@@ -940,9 +953,11 @@ def test_bipyramid_locate_matches_fraction_oracle(Q):
         assert all(type(w) is Fraction for _, w in weights)
 
 
-@pytest.mark.parametrize("entry", [check_special, check_sufficient])
-def test_no_earlier_dilation_table_is_alive_when_the_next_is_built(entry, monkeypatch):
-    from chowtool import catalog, stability
+def _record_table_builds(monkeypatch):
+    """Wrap the stability module's table builders; the returned list gets
+    (k, weak reference to the table) per build, and a build fails while a
+    table of a smaller dilation is still alive."""
+    from chowtool import stability
 
     built = []
 
@@ -958,9 +973,100 @@ def test_no_earlier_dilation_table_is_alive_when_the_next_is_built(entry, monkey
 
     for name in ("boundary_triangulation", "full_triangulation"):
         monkeypatch.setattr(stability, name, recording(getattr(stability, name)))
+    return built
+
+
+@pytest.mark.parametrize("entry", [check_special, check_sufficient])
+def test_no_earlier_dilation_table_is_alive_when_the_next_is_built(entry, monkeypatch):
+    from chowtool import catalog
+
+    built = _record_table_builds(monkeypatch)
     verdict = entry(catalog.get("D_X4").polytope)
     assert verdict.status == POLYSTABLE
-    assert sorted({k for k, _ in built}) == [1, 2, 3, 4]
+    # check_special reads k = 2..4 off the level-1 strata
+    want = [1] if entry is check_special else [1, 2, 3, 4]
+    assert sorted({k for k, _ in built}) == want
+
+
+_SPECIAL = ["X6", "A3", "D_X4", "cuboctahedron", "simplexPn3", "A4", "D4", "simplexPn4", "A5", "D5"]
+
+
+@pytest.mark.parametrize("name", _SPECIAL)
+def test_check_special_builds_only_the_level1_boundary(name, monkeypatch):
+    from chowtool import catalog
+
+    built = _record_table_builds(monkeypatch)
+    verdict = check_special(catalog.get(name).polytope)
+    assert verdict.status == POLYSTABLE
+    assert [k for k, _ in built] == [1]
+
+
+def _inflate_stratum(monkeypatch, dim, excess=1):
+    """Make Triangulation.stratum_incidence raise the least face of dimension
+    dim past n! by excess: a fabricated stratum table, as a complex whose
+    alcove refinements break the bound off the sampled dilations would give."""
+    from chowtool import triangulation
+
+    real = triangulation.Triangulation.stratum_incidence
+    inflated = []
+
+    def fabricated(T):
+        strata = dict(real(T))
+        face = min(f for f in strata if len(f) == dim + 1)
+        strata[face] = factorial(T.dim + 1) + excess
+        inflated.append(tuple(map(T.points.__getitem__, face)))
+        return strata
+
+    monkeypatch.setattr(triangulation.Triangulation, "stratum_incidence", fabricated)
+    return inflated
+
+
+def test_check_special_refuses_a_stratum_past_the_sampled_dilations(monkeypatch):
+    from chowtool import catalog
+
+    P = catalog.get("D_X4").polytope
+    inflated = _inflate_stratum(monkeypatch, 2)
+    built = _record_table_builds(monkeypatch)
+    # k = 1, 2 sample the strata of dimension 0 and 1 only
+    verdict = check_special(P, k_max=2)
+    assert verdict.status == INCONCLUSIVE
+    check = verdict.check("regular boundary")
+    assert not check.passed
+    assert check.detail == (
+        "a stratum of dimension 2 has incidence 7 > n! = 6; k = 1..2 sample dimensions up to 1"
+    )
+    assert dict(check.data) == {"dimension": "2", "incidence": "7", "face": str(inflated[0])}
+    assert [k for k, _ in built] == [1]
+
+
+def test_check_special_rebuilds_a_sampled_stratum_past_the_bound(monkeypatch):
+    from chowtool import catalog
+
+    P = catalog.get("D_X4").polytope
+    _inflate_stratum(monkeypatch, 1, excess=2)
+    built = _record_table_builds(monkeypatch)
+    verdict = check_special(P)
+    # the edge strata are sampled from k = 2 on, so each of k = 2..4 is
+    # rebuilt, with the level-1 table gone; the rebuilt tables stay within
+    # 3! = 6, and the fabricated stratum still refuses the verdict for all k
+    assert [k for k, _ in built] == [1, 2, 3, 4]
+    assert verdict.status == INCONCLUSIVE
+    check = verdict.check("regular boundary")
+    assert not check.passed and dict(check.data)["incidence"] == "8"
+    assert dict(check.data)["dimension"] == "1"
+
+
+@pytest.mark.parametrize("name", ["D6", "D7", "simplexPn5"])
+def test_verdict_json_of_the_largest_special_entries_is_pinned(name, monkeypatch):
+    from pathlib import Path
+
+    from chowtool import catalog, jsonio
+
+    built = _record_table_builds(monkeypatch)
+    P = catalog.get(name).polytope
+    text = jsonio.dump_json(jsonio.verdict_to_json(P, classify(P))) + "\n"
+    assert text == (Path(__file__).parent / "data" / "verdicts" / f"{name}.json").read_text()
+    assert [k for k, _ in built] == [1]
 
 
 @pytest.mark.parametrize("k_max", [0, -2])

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, permutations, product as iproduct
-from math import factorial
+from math import comb, factorial, prod
 from operator import and_, attrgetter, sub
 
 import pytest
@@ -418,6 +418,103 @@ def test_dilation_stratum_stability():
         for k in (2, 3, 4):
             maxima.append(max(incidence(boundary_triangulation(P, k)).values()))
         assert maxima[0] == maxima[1] == maxima[2]
+
+
+def _relint_points(verts, k):
+    """relint(k conv(verts)) of a unimodular face: sum a_i v_i over the
+    compositions a of k into len(verts) positive parts."""
+    out = []
+    for cuts in combinations(range(1, k), len(verts) - 1):
+        parts = [b - a for a, b in zip((0,) + cuts, cuts + (k,))]
+        out.append(tuple(map(sum, zip(*([a * x for x in v] for a, v in zip(parts, verts))))))
+    return out
+
+
+def _stratum_prediction(P, k):
+    """{point of the boundary of kP: its level-1 stratum's incidence}.
+
+    Each face F of the level-1 table gives C(k-1, dim F) points, and the
+    relative interiors of distinct faces share none."""
+    T1 = boundary_triangulation(P, 1)
+    out = {}
+    for face, c in T1.stratum_incidence().items():
+        points = _relint_points([T1.points[i] for i in face], k)
+        assert len(set(points)) == len(points) == comb(k - 1, len(face) - 1)
+        for p in points:
+            assert p not in out
+            out[p] = c
+    return out
+
+
+# every reflexive entry of dimension <= 5 has a level-1 complex
+_STRATUM_ENTRIES = [
+    name
+    for name in catalog.list_names()
+    if catalog.get(name).polytope.dim <= 5
+    and all(f.offset == 1 for f in catalog.get(name).polytope.facets)
+]
+
+
+@pytest.mark.parametrize("name", _STRATUM_ENTRIES)
+def test_stratum_incidence_matches_the_enumeration(name):
+    P = catalog.get(name).polytope
+    for k in (1, 2, 3):
+        assert _stratum_prediction(P, k) == boundary_triangulation(P, k).incidence(), k
+    # the k = 4 tables of cube5 and simplexPn5 hold about 1 and 2 million
+    # cells, so at k = 4 the maxima are compared on the smaller tables only
+    T1 = boundary_triangulation(P, 1)
+    if len(T1) * 4 ** (P.dim - 1) <= 200_000:
+        strata = T1.stratum_incidence()
+        sampled = max(c for face, c in strata.items() if len(face) <= 4)
+        assert sampled == max(boundary_triangulation(P, 4).incidence().values())
+
+
+def _no_wrap_run_product(d, face):
+    # the first and the last run counted apart, as if the cycle were a path
+    runs = [face[0], d - face[-1]] + [b - a - 1 for a, b in zip(face, face[1:])]
+    return factorial(d + 1) // prod(factorial(r + 1) for r in runs)
+
+
+def _cycle_relabelled(order):
+    # the law read on the cycle order[0], ..., order[d] instead of 0, ..., d
+    law = triangulation._run_product
+
+    def mutated(d, face):
+        return law(d, tuple(sorted(order(d)[i] for i in face)))
+
+    return mutated
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        _no_wrap_run_product,
+        # a transposition of two adjacent positions is no dihedral relabelling
+        # once d >= 3
+        _cycle_relabelled(lambda d: [0, 2, 1] + list(range(3, d + 1))),
+    ],
+    ids=["runs-without-wrap-around", "transposed-cycle"],
+)
+@pytest.mark.parametrize("name", ["D4", "simplexPn4", "cube4"])
+def test_stratum_oracle_rejects_a_mutated_law(name, mutant, monkeypatch):
+    P = catalog.get(name).polytope
+    monkeypatch.setattr(triangulation, "_run_product", mutant)
+    assert _stratum_prediction(P, 2) != boundary_triangulation(P, 2).incidence()
+
+
+def test_stratum_incidence_is_invariant_under_reversing_the_cycle(monkeypatch):
+    # the runs of a reversed cycle are those of the cycle, so the dihedral
+    # relabelling the alcove rule allows changes no count
+    P = catalog.get("simplexPn4").polytope
+    want = boundary_triangulation(P, 1).stratum_incidence()
+    monkeypatch.setattr(triangulation, "_run_product", _cycle_relabelled(lambda d: list(range(d, -1, -1))))
+    assert boundary_triangulation(P, 1).stratum_incidence() == want
+
+
+def test_stratum_incidence_refuses_a_table_that_is_not_unimodular():
+    T = Triangulation(dim=2, simplices=(make_simplex([(0, 0), (2, 0), (0, 1)]),))
+    with pytest.raises(ValueError, match="unimodular"):
+        T.stratum_incidence()
 
 
 def _alcove_refine_cycle_by_points(verts, k):
