@@ -99,7 +99,11 @@ def cmd_triangulate(args):
     user = jsonio.load_triangulation(args.triangulation) if args.triangulation else None
     if args.boundary or user is not None:
         T = user if user is not None else triangulation.boundary_triangulation(P, k)
-        report = triangulation.verify_regular_boundary(P, T, k)
+        try:
+            report = triangulation.verify_regular_boundary(P, T, k)
+        except ValueError as exc:
+            # only a supplied table can be of the wrong dimension
+            raise ParseError(f"--triangulation: {exc}") from None
         payload = {
             "polytope": jsonio.polytope_to_json(P),
             "dilation": k,

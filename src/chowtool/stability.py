@@ -657,10 +657,9 @@ def check_special(P, k_max=None):
     F, (d+1)!/prod (r_i+1)! with r_i the cyclic runs of σ's ids missing
     from F.  A j-face has points in kP once k > j, so the maximum at k
     (recorded for k = 1..k_max) is the largest stratum incidence of
-    dimension <= k - 1; a dilated table is rebuilt only when that exceeds
-    n!, so that its report names the offending points.  Every stratum,
-    sampled by k <= k_max or not, must stay within n!, which makes the
-    bound hold for all k.
+    dimension <= k - 1; at k = 1 those are the vertex strata, the level-1
+    table's own incidence.  Every stratum, sampled by k <= k_max or not,
+    must stay within n!, which makes the bound hold for all k.
     """
     n = P.dim
     k_max = _k_max(P, k_max)
@@ -700,34 +699,20 @@ def check_special(P, k_max=None):
         )
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     report = verify_regular_boundary(P, level1, 1)
-    maxima = [report.max_incidence]
-    # reach[j]: the largest incidence on the strata of dimension <= j, and
-    # kP has points on exactly the strata of dimension <= k - 1
-    reach, worst = _stratum_maxima(level1) if report.regular else ((), None)
-    # the level-1 table is not alive when a dilated one is rebuilt
-    del level1
-    for k in range(2, k_max + 1):
-        if not report.regular:
-            break
-        sampled = reach[min(k, len(reach)) - 1]
-        if sampled > bound:
-            # rebuilt for the trail, whose report names the offending points
-            report = verify_regular_boundary(P, boundary_triangulation(P, k), k)
-            sampled = report.max_incidence
-        maxima.append(sampled)
     if not report.regular:
         checks.append(
             Check.make(
                 "regular boundary",
                 False,
-                detail=f"k = {report.dilation}: {report.summary()}",
+                detail=f"k = 1: {report.summary()}",
                 offenders=report.offenders[:4],
             )
         )
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
+    # reach[j]: the largest incidence on the strata of dimension <= j, and
+    # kP has points on exactly the strata of dimension <= k - 1
+    reach, worst = _stratum_maxima(level1)
     if worst is not None:
-        # a stratum past n! that no sampled dilation reaches, one of
-        # dimension >= k_max
         j, count, worst_points = worst
         checks.append(
             Check.make(
@@ -743,6 +728,7 @@ def check_special(P, k_max=None):
             )
         )
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
+    maxima = [reach[min(k, len(reach)) - 1] for k in range(1, k_max + 1)]
     stable_tail = len(maxima) < 2 or maxima[-1] == maxima[-2]
     checks.append(
         Check.make(

@@ -17,14 +17,13 @@ restricted to shared faces are lattice-intrinsic for the simplex/box
 strategies, which is what makes the per-facet assembly face-compatible.
 
 The boundary table of kP is the alcove refinement of the level-1 table, each
-cell refined along its lexicographic vertex cycle (a box facet's staircase
-of k times the box is that refinement of its level-1 staircase), so the
-incidence at a point depends only on its stratum: the face F of the level-1
-complex with the point in relint(kF).  By the run-product law (Lam and
-Postnikov, "Alcoved polytopes I", Discrete Comput. Geom. 38, 2007) it is
-the sum over the cells σ ⊇ F of (d+1)!/prod (r_i+1)!, with r_i the lengths
-of the cyclic runs of σ's vertices missing from F, for every k; a unimodular
-j-face has C(k-1, j) points in relint(kF).  Triangulation.stratum_incidence
+cell refined along its lexicographic vertex cycle, so the incidence at a
+point depends only on its stratum: the face F of the level-1 complex with
+the point in relint(kF).  By the run-product law (Lam and Postnikov,
+"Alcoved polytopes I", Discrete Comput. Geom. 38, 2007) it is the sum over
+the cells σ ⊇ F of (d+1)!/prod (r_i+1)!, with r_i the lengths of the cyclic
+runs of σ's vertices missing from F, for every k; a unimodular j-face has
+C(k-1, j) points in relint(kF).  Triangulation.stratum_incidence
 reads these sums off the level-1 table, which is the only boundary table
 the verdict path builds (stability.check_special); the dilated tables serve
 the triangulate command, the incidence criterion and the tests' oracles.
@@ -757,13 +756,12 @@ def _best_cycle_triangulation(cycle, weights):
 def level1_boundary(P):
     """Per-facet unimodular triangulation of the undilated boundary.
 
-    Returns a tuple of (facet, cells, box), built once per polytope, where
-    box is the facet's _facet_as_aligned_box (None off boxes); raises
+    Returns a tuple of (facet, cells), built once per polytope; raises
     NoStrategy when a facet fits none of the built-in shapes.
     """
     n = P.dim
     if n == 1:
-        return tuple((f, ((f.vertices[0],),), None) for f in P.facets)
+        return tuple((f, ((f.vertices[0],),)) for f in P.facets)
     out = []
     for f in P.facets:
         box = _facet_as_aligned_box(f)
@@ -783,7 +781,7 @@ def level1_boundary(P):
             cells = _polygon_facet_level1(P, f)
         else:
             raise NoStrategy(f"no triangulation strategy for facet with normal {f.normal}")
-        out.append((f, tuple(tuple(cell) for cell in cells), box))
+        out.append((f, tuple(tuple(cell) for cell in cells)))
     return tuple(out)
 
 
@@ -792,25 +790,15 @@ def boundary_triangulation(P, k):
 
     Strategy-built triangulations are the k-dilations of the level-1 facet
     triangulations, refined inside each dilated cell by the alcove rule, so
-    incidence counts depend only on the stratum of a point; a box facet's
-    staircase at level 1 is the staircase of the box, so k times the box is
-    staircased directly.
+    incidence counts depend only on the stratum of a point.
     """
     n = P.dim
     if n == 1:
         points = [(k * f.vertices[0][0],) for f in P.facets]
         return Triangulation.from_blocks(0, cell_blocks([p] for p in points))
-    blocks = []
-    for facet, cells, box in level1_boundary(P):
-        if box is None:
-            blocks.extend(_alcove_block(sorted(cell), k) for cell in cells)
-            continue
-        active, los, his = box
-        fixed = [k * c for c in los]
-        points, box_cells = _freudenthal_box_block(
-            [k * los[i] for i in active], [k * his[i] for i in active]
-        )
-        blocks.append(([_embed(active, fixed, p) for p in points], box_cells))
+    blocks = [
+        _alcove_block(sorted(cell), k) for _, cells in level1_boundary(P) for cell in cells
+    ]
     return Triangulation.from_blocks(n - 1, blocks)
 
 
@@ -950,7 +938,7 @@ def full_triangulation(P, k):
                 # this refinement; excl sits opposite the apex
                 blocks.append(_alcove_block([apex, *cycle], k))
         return Triangulation.from_blocks(n, blocks)
-    for facet, cells, _ in level1_boundary(P):
+    for _, cells in level1_boundary(P):
         for cell in cells:
             blocks.append(_alcove_block(sorted((origin,) + cell), k))
     return Triangulation.from_blocks(n, blocks)
@@ -1082,8 +1070,17 @@ def verify_regular_boundary(P, T, k):
     distinct edge matrix up to column order, and facet masks are one int per
     point.  Ridges are counted by _ridges_in_pairs, one chunk of about 4,096
     cells at a time, so one chunk's ridges are held rather than every ridge.
+    Raises ValueError when T's points are not in Z^n or its cells are not
+    (n-1)-simplices, which the facet tests would read truncated.
     """
     n = P.dim
+    if T.points and len(T.points[0]) != n:
+        raise ValueError(f"a boundary table of a polytope in Z^{n} has points in Z^{len(T.points[0])}")
+    if T.cells and len(T.cells[0]) != n:
+        raise ValueError(
+            f"a boundary table of a polytope in Z^{n} has {len(T.cells[0]) - 1}-simplices, "
+            f"not {n - 1}-simplices"
+        )
     expected = boundary_volume(P) * k ** (n - 1)
     total = T.relative_volume()
     coverage_ok = total == expected

@@ -90,6 +90,19 @@ def test_triangulate_checks_a_supplied_triangulation(capsys, tmp_path):
     assert data["regular"] is False
 
 
+@pytest.mark.parametrize("lift", [[], [0]], ids=["in-Z2", "in-Z3"])
+def test_triangulate_refuses_a_supplied_table_of_the_wrong_dimension(lift, capsys, tmp_path):
+    # the four edges of the square |x| + |y| = 1 sum to the relative volume 4
+    # of the boundary of the octahedron D3, but are no triangulation of it
+    square = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    edges = [[a + lift, b + lift] for a, b in zip(square, square[1:] + square[:1])]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"simplices": edges}))
+    code, out, err = run(capsys, "triangulate", "D3", "--triangulation", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --triangulation: a boundary table of a polytope in Z^3 has ")
+
+
 def test_equations(capsys):
     code, out, _ = run(capsys, "equations", "catalog:X3")
     assert code == 0

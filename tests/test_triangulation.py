@@ -368,7 +368,7 @@ def test_polygon_facets_match_the_facet_strategy_oracle(name):
         with pytest.raises(NoStrategy):
             level1_boundary(P)
         return
-    got = {f.normal: _cell_set(cells) for f, cells, _ in level1_boundary(P)}
+    got = {f.normal: _cell_set(cells) for f, cells in level1_boundary(P)}
     assert {normal: got[normal] for normal in oracle} == oracle
 
 
@@ -380,24 +380,39 @@ _BOX_FACETED = [
 ]
 
 
-@pytest.mark.parametrize("name", _BOX_FACETED)
-def test_box_facet_staircase_is_the_alcove_refinement_of_level1(name):
-    # boundary_triangulation staircases k times a box facet directly; that is
-    # the alcove refinement of the box's level-1 staircase cells, so box
-    # facets keep the stratum law of every other facet
-    P = catalog.get(name).polytope
-    for k in range(1, 4):
-        T = boundary_triangulation(P, k)
-        refined = Triangulation.from_blocks(
-            P.dim - 1,
-            [
-                triangulation._alcove_block(sorted(cell), k)
-                for _, cells, _ in level1_boundary(P)
-                for cell in cells
-            ],
+def _boundary_staircasing_boxes(P, k):
+    """The boundary table of kP with k times each box facet staircased
+    directly, every other facet alcove-refined from its level-1 cells."""
+    blocks = []
+    for facet, cells in level1_boundary(P):
+        box = triangulation._facet_as_aligned_box(facet)
+        if box is None:
+            blocks.extend(triangulation._alcove_block(sorted(cell), k) for cell in cells)
+            continue
+        active, los, his = box
+        fixed = [k * c for c in los]
+        points, box_cells = triangulation._freudenthal_box_block(
+            [k * los[i] for i in active], [k * his[i] for i in active]
         )
-        assert T.points == refined.points
-        assert T.cells == refined.cells
+        blocks.append(([triangulation._embed(active, fixed, p) for p in points], box_cells))
+    return Triangulation.from_blocks(P.dim - 1, blocks)
+
+
+@pytest.mark.parametrize(
+    "name, ks",
+    [pytest.param(name, (1, 2, 3), id=name) for name in _BOX_FACETED]
+    + [pytest.param("cube5", (2,), id="cube5-k2")],
+)
+def test_box_facet_staircase_is_the_alcove_refinement_of_level1(name, ks):
+    # boundary_triangulation alcove-refines the level-1 staircase of a box
+    # facet; that is the staircase of k times the box, so box facets keep
+    # the stratum law of every other facet
+    P = catalog.get(name).polytope
+    for k in ks:
+        T = boundary_triangulation(P, k)
+        staircased = _boundary_staircasing_boxes(P, k)
+        assert T.points == staircased.points
+        assert T.cells == staircased.cells
 
 
 def test_no_strategy_for_unsupported_facets():
@@ -463,8 +478,13 @@ def test_stratum_incidence_matches_the_enumeration(name):
     # the k = 4 tables of cube5 and simplexPn5 hold about 1 and 2 million
     # cells, so at k = 4 the maxima are compared on the smaller tables only
     T1 = boundary_triangulation(P, 1)
+    strata = T1.stratum_incidence()
+    # check_special records the largest vertex stratum as the maximum at k = 1;
+    # a segment's boundary has no volume to verify against
+    if P.dim > 1:
+        vertex_max = max(c for face, c in strata.items() if len(face) == 1)
+        assert vertex_max == verify_regular_boundary(P, T1, 1).max_incidence
     if len(T1) * 4 ** (P.dim - 1) <= 200_000:
-        strata = T1.stratum_incidence()
         sampled = max(c for face, c in strata.items() if len(face) <= 4)
         assert sampled == max(boundary_triangulation(P, 4).incidence().values())
 
@@ -509,6 +529,19 @@ def test_stratum_incidence_is_invariant_under_reversing_the_cycle(monkeypatch):
     want = boundary_triangulation(P, 1).stratum_incidence()
     monkeypatch.setattr(triangulation, "_run_product", _cycle_relabelled(lambda d: list(range(d, -1, -1))))
     assert boundary_triangulation(P, 1).stratum_incidence() == want
+
+
+def test_verify_regular_boundary_refuses_a_table_of_the_wrong_dimension():
+    # the four edges of the square |x| + |y| = 1 have the relative volume 4
+    # of the boundary of the octahedron D3, in Z^2 and in Z^3 alike
+    P = catalog.get("D3").polytope
+    square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for lift in ((), (0,)):
+        edges = [[a + lift, b + lift] for a, b in zip(square, square[1:] + square[:1])]
+        T = Triangulation.from_blocks(1, cell_blocks(edges))
+        assert T.relative_volume() == boundary_volume(P)
+        with pytest.raises(ValueError, match="^a boundary table of a polytope in Z\\^3 has "):
+            verify_regular_boundary(P, T, 1)
 
 
 def test_stratum_incidence_refuses_a_table_that_is_not_unimodular():
@@ -1018,7 +1051,7 @@ def _boundary_by_simplices(P, k):
         cells = [make_simplex([(k * f.vertices[0][0],)]) for f in P.facets]
         return sorted(cells, key=attrgetter("vertices"))
     simplices = []
-    for facet, cells, _ in level1_boundary(P):
+    for facet, cells in level1_boundary(P):
         box = triangulation._facet_as_aligned_box(facet)
         if box is not None and k > 1:
             active, los, his = box
@@ -1057,7 +1090,7 @@ def _full_by_simplices(P, k):
                 else:
                     simplices.extend(_alcove_cells(cone, k))
     else:
-        for facet, cells, _ in level1_boundary(P):
+        for _, cells in level1_boundary(P):
             for cell in cells:
                 cone = [origin] + list(cell)
                 if k == 1:
