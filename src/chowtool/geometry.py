@@ -12,8 +12,11 @@ and scale facet offsets on the fly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
-from math import factorial
+from functools import partial, reduce, wraps
+from itertools import repeat
+from math import factorial, gcd
+from numbers import Rational
+from operator import add, mul
 
 from .errors import NotFullDimensional, NotReflexive, DimensionTooSmall, OriginNotInterior
 from .linalg import (
@@ -49,6 +52,12 @@ class Facet:
 
 # ---------------------------------------------------------------------------
 # convex hull (beneath-beyond, exact integer arithmetic)
+#
+# Elimination builds only the n + 1 facets of the initial simplex.  Each
+# later facet is the cone from the new point over a horizon ridge, and its
+# hyperplane lies in the pencil of the two old hyperplanes through that
+# ridge (Edelsbrunner, Algorithms in Combinatorial Geometry, 1987), so it is
+# an integer combination of two known normals.
 # ---------------------------------------------------------------------------
 
 
@@ -108,11 +117,17 @@ def hull_facets(pts):
     facet triangulate it, so they are joined by ridges too, and two
     adjacent true facets share a raw ridge.  So the visible set, the
     horizon and the final raw facets are those of a scan of every facet.
+
+    Only the n + 1 facets of the initial simplex are solved for
+    (_facet_from_points).  Every later facet is the cone from p over a
+    horizon ridge R, found between a visible facet (a, h_a) and a hidden
+    one (b, h_b), and its hyperplane lies in their pencil (_pencil_facet).
     """
     n = len(pts[0])
     base = _affine_basis(pts)
     simplex = [pts[i] for i in base]
     inside_sum = tuple(sum(c) for c in zip(*simplex))
+    inside_count = n + 1
 
     facets = {}
     next_id = 0
@@ -142,7 +157,7 @@ def hull_facets(pts):
         return dot(f.normal, p) < f.h
 
     star = [
-        add_facet(_facet_from_points(simplex[:i] + simplex[i + 1 :], inside_sum, n + 1))
+        add_facet(_facet_from_points(simplex[:i] + simplex[i + 1 :], inside_sum, inside_count))
         for i in range(n + 1)
     ]
     in_simplex = set(simplex)
@@ -157,10 +172,11 @@ def hull_facets(pts):
         visible = {seed}
         hidden = set()
         todo = [seed]
-        horizon = []
+        horizon = []  # (ridge, visible facet, hidden facet)
         while todo:
             fid = todo.pop()
-            verts = facets[fid].verts
+            raw = facets[fid]
+            verts = raw.verts
             for i in range(len(verts)):
                 ridge = verts[:i] + verts[i + 1 :]
                 owners = ridge_map[ridge]
@@ -174,18 +190,55 @@ def hull_facets(pts):
                     todo.append(other)
                 else:
                     hidden.add(other)
-                    horizon.append(ridge)
+                    horizon.append((ridge, raw, facets[other]))
         for fid in visible:
             remove_facet(fid)
         star = [
-            add_facet(_facet_from_points(list(ridge) + [p], inside_sum, n + 1))
-            for ridge in horizon
+            add_facet(_pencil_facet(ridge, p, seen, kept, inside_sum, inside_count))
+            for ridge, seen, kept in horizon
         ]
 
     for owners in ridge_map.values():
         if len(owners) != 2:
             raise AssertionError("hull boundary is not ridge-closed")
     return list(facets.values())
+
+
+def _pencil_facet(ridge, p, seen, kept, inside_sum, inside_count):
+    """The raw facet over ridge + [p], from the two facets through ridge.
+
+    seen = (a, h_a) is visible from p and kept = (b, h_b) is not.  Both
+    hyperplanes hold the ridge, so every alpha a + beta b at level
+    alpha h_a + beta h_b does; alpha = <b, p> - h_b >= 0 and
+    beta = h_a - <a, p> > 0 put p on it too.  At a point interior to the
+    hull both inequalities are strict, so the combination is inward.  The
+    ridge's lattice points make the level an integer combination of the
+    normal, so the normal's gcd divides it.  An inward primitive normal is
+    unique, so this is the facet _facet_from_points solves for.
+    """
+    a, h_a = seen.normal, seen.h
+    b, h_b = kept.normal, kept.h
+    alpha = dot(b, p) - h_b
+    beta = h_a - dot(a, p)
+    normal = [alpha * x + beta * y for x, y in zip(a, b)]
+    g = gcd(*normal)
+    if not g:
+        raise AssertionError("degenerate facet orientation")
+    normal = tuple(x // g for x in normal)
+    h = (alpha * h_a + beta * h_b) // g
+    if dot(normal, inside_sum) - inside_count * h <= 0:
+        raise AssertionError("pencil facet is not inward")
+    return _RawFacet(tuple(sorted(ridge + (p,))), normal, h)
+
+
+def _integer_point(p):
+    """p as a tuple of ints; raises ValueError on a coordinate that is not
+    an exact integer (an int, or a Fraction with denominator 1)."""
+    p = tuple(p)
+    for x in p:
+        if type(x) is not int and not (isinstance(x, Rational) and x.denominator == 1):
+            raise ValueError(f"coordinate {x!r} of point {p!r} is not an exact integer")
+    return tuple(map(int, p))
 
 
 def convex_hull(points):
@@ -200,7 +253,7 @@ def convex_hull(points):
     through ridges (hull_facets gives the argument), so both find the same
     set and the hull is the same.
     """
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    pts = sorted(set(map(_integer_point, points)))
     n = len(pts[0])
     if n == 1:
         lo, hi = pts[0][0], pts[-1][0]
@@ -268,7 +321,7 @@ class Polytope:
     """
 
     def __init__(self, points, name=None):
-        pts = [tuple(int(x) for x in p) for p in points]
+        pts = list(map(_integer_point, points))
         if not pts:
             raise ValueError("empty point list")
         dims = {len(p) for p in pts}
@@ -764,12 +817,26 @@ def double_cone(P, name=None):
 
 
 def lattice_shells(P, k):
-    """Partition of kP into boundary shells of iP, i = 0..k (reflexive P only)."""
+    """Partition of kP into boundary shells of iP, i = 0..k (reflexive P only).
+
+    A point v lies on the boundary of iP for i = max(0, -min_F <n_F, v>).
+    The minimum is kept for all points at once: per facet, one C-level pass
+    over the coordinate columns its normal does not vanish on.
+    """
     if not all(f.offset == 1 for f in P.facets):
         raise NotReflexive("lattice shells require a reflexive polytope")
+    pts = lattice_points(P, k)
+    columns = list(zip(*pts))
+    least = [0] * len(pts)
+    for f in P.facets:
+        terms = [
+            col if c == 1 else map(mul, repeat(c), col)
+            for c, col in zip(f.normal, columns)
+            if c
+        ]
+        # <n_F, v> for every point v, added term by term
+        least = list(map(min, least, reduce(partial(map, add), terms)))
     shells = {i: set() for i in range(k + 1)}
-    for v in lattice_points(P, k):
-        level = max(-dot(f.normal, v) for f in P.facets)
-        level = max(level, 0)
-        shells[level].add(v)
+    for v, m in zip(pts, least):
+        shells[-m].add(v)
     return shells

@@ -41,14 +41,18 @@ the simplices view and for cells whose lattice points must be enumerated.
 
 Refined and staircase cells come in few shapes up to translation and
 permutation of the coordinates, neither of which changes a cell's volume,
-so a triangulation computes its volumes once per distinct edge matrix up to
-column order (Triangulation.volumes); verification still checks every cell.
+so a triangulation computes its volumes once per shape
+(Triangulation.volumes); verification still checks every cell.
 Translates are found by one int per cell: each point of the table is packed
 once into an int, in a radix wide enough that the difference of two packed
 points is a balanced-digit code of their edge, and a cell's key is its
 packed edges as the digits of a larger radix (_packed_cell_keys), so the
 pass holds one int per translate class, not a tuple of every edge
-coordinate.
+coordinate.  A cell that no earlier translate keys is looked up by the
+sorted columns of its vertex matrix, built at C level, which cells equal up
+to a permutation of the coordinates share: the 10,080 cells of the
+bipyramid carrier over [-1, 1]^7, no two of them translates, reach the
+kernel 14 times and build no edge tuple in between.
 
 The ridge condition of verify_regular_boundary is counted chunk by chunk
 (_ridges_in_pairs): a ridge is counted in the chunk that covers its least
@@ -285,11 +289,12 @@ class Triangulation:
         local to this one pass, share it between cells.  The first key is
         one int per cell that determines its edge matrix (_packed_cell_keys),
         so translates of a sorted cell share it.  Only on a miss is the
-        second key built, the edge matrix's columns in sorted order:
-        permuting the coordinates permutes the columns, which permutes the
-        maximal minors up to sign and so keeps the volume.  The kernel runs
-        once per distinct second key, on the edge matrix with its columns
-        sorted.
+        second key built, at C level: the columns of the cell's vertex matrix
+        in sorted order.  Two cells with equal second keys have vertex
+        matrices that differ by a permutation of the coordinates, which
+        permutes the maximal minors of the edge matrix up to sign and so
+        keeps the volume.  The edge matrix is built, and the kernel run, once
+        per distinct second key.
         """
         if self._volumes is None:
             get = self.points.__getitem__
@@ -299,16 +304,12 @@ class Triangulation:
             for cell, key in zip(self.cells, _packed_cell_keys(self.points, self.cells)):
                 vol = by_key.get(key)
                 if vol is None:
-                    first = get(cell[0])
-                    n = len(first)
-                    # every later vertex minus the first, coordinate by coordinate
-                    flat = tuple(
-                        map(sub, chain.from_iterable(map(get, cell[1:])), first * (len(cell) - 1))
-                    )
-                    columns = tuple(sorted([flat[j::n] for j in range(n)]))
+                    columns = tuple(sorted(zip(*map(get, cell))))
                     vol = memo.get(columns)
                     if vol is None:
-                        vol = memo[columns] = edge_matrix_volume_times_factorial(tuple(zip(*columns)))
+                        first = get(cell[0])
+                        edges = tuple(vec_sub(get(i), first) for i in cell[1:])
+                        vol = memo[columns] = edge_matrix_volume_times_factorial(edges)
                     by_key[key] = vol
                 out.append(vol)
             self._volumes = tuple(out)

@@ -1,7 +1,8 @@
 import copy
+import re
 from fractions import Fraction
 from itertools import count, product as iproduct
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -90,6 +91,24 @@ def test_facets_deterministic_order():
 def test_non_full_dimensional_rejected():
     with pytest.raises(NotFullDimensional):
         Polytope([(0, 0), (1, 1), (2, 2)])
+
+
+@pytest.mark.parametrize(
+    "point, bad",
+    [((0.5, 0), "0.5"), ((Fraction(3, 2), 0), "Fraction(3, 2)"), (("1", 0), "'1'")],
+)
+def test_non_integer_coordinates_are_refused(point, bad):
+    # int() would read these as (0, 0), (1, 0) and (1, 0): another polytope
+    points = [point, (2, 0), (0, 2)]
+    for build in (Polytope, convex_hull):
+        with pytest.raises(ValueError, match=re.escape(f"coordinate {bad} ")):
+            build(points)
+
+
+def test_non_integer_refusal_accepts_integral_fractions():
+    P = Polytope([(Fraction(4, 2), 0), (0, 0), (0, 2)])
+    assert P.vertices == ((0, 0), (0, 2), (2, 0))
+    assert all(type(x) is int for v in P.vertices for x in v)
 
 
 def test_hull_drops_non_vertices():
@@ -328,6 +347,25 @@ def test_shells_partition():
                 total += len(pts)
                 union |= pts
             assert total == len(union) == len(lattice_points(P, k))
+
+
+def _shells_by_point(P, k):
+    """lattice_shells' per-point form, one dot per point and facet, kept as
+    its oracle."""
+    from chowtool.linalg import dot
+
+    shells = {i: set() for i in range(k + 1)}
+    for v in lattice_points(P, k):
+        shells[max(0, max(-dot(f.normal, v) for f in P.facets))].add(v)
+    return shells
+
+
+@pytest.mark.parametrize(
+    "name, k", [("X9", 4), ("A3", 3), ("D_X6", 3), ("cuboctahedron", 2), ("A4", 2), ("D4", 2)]
+)
+def test_shells_match_the_per_point_oracle(name, k):
+    P = catalog.get(name).polytope
+    assert lattice_shells(P, k) == _shells_by_point(P, k)
 
 
 def test_centroid():
@@ -605,13 +643,13 @@ def test_constructors_run_no_rank_elimination(monkeypatch):
         assert_derivation_holds(R)
 
 
-def _hull_by_full_scan(points):
-    """convex_hull with each point's visible facets found by scanning every
-    facet, kept as the oracle for the ridge-map search."""
+def _raw_facets_by_full_scan(pts):
+    """hull_facets with each point's visible facets found by scanning every
+    facet and every facet solved for by elimination (_facet_from_points),
+    kept as the oracle for the ridge-map search and the ridge pencil."""
     from chowtool.geometry import _affine_basis, _facet_from_points
-    from chowtool.linalg import dot, rank_rational
+    from chowtool.linalg import dot
 
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
     n = len(pts[0])
     simplex = [pts[i] for i in _affine_basis(pts)]
     inside_sum = tuple(sum(c) for c in zip(*simplex))
@@ -645,8 +683,18 @@ def _hull_by_full_scan(points):
         for r in horizon:
             add(_facet_from_points(list(r) + [p], inside_sum, n + 1))
     assert all(len(owners) == 2 for owners in ridge_map.values())
+    return list(facets_.values())
+
+
+def _hull_by_full_scan(points):
+    """convex_hull over _raw_facets_by_full_scan."""
+    from chowtool.linalg import dot, rank_rational
+
+    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    n = len(pts[0])
+    raws = _raw_facets_by_full_scan(pts)
     merged = {}
-    for raw in facets_.values():
+    for raw in raws:
         merged.setdefault((raw.normal, raw.h), set()).update(raw.verts)
     candidates = sorted(set().union(*merged.values()))
     true_vertices = [
@@ -658,7 +706,11 @@ def _hull_by_full_scan(points):
         Facet(normal=nm, offset=-h, vertices=tuple(v for v in true_vertices if dot(nm, v) == h))
         for (nm, h) in sorted(merged)
     ]
-    return true_vertices, facet_list, sorted(raw.verts for raw in facets_.values())
+    return true_vertices, facet_list, sorted(raw.verts for raw in raws)
+
+
+def _raw_triples(raws):
+    return sorted((raw.verts, raw.normal, raw.h) for raw in raws)
 
 
 @st.composite
@@ -701,3 +753,68 @@ def test_hull_of_lifted_lattice_points_matches_full_scan(name, k):
     got = convex_hull(lifted)
     assert got == _hull_by_full_scan(lifted)
     assert {raw.verts for raw in geometry.hull_facets(sorted(lifted))} == set(got[2])
+
+
+@st.composite
+def _pencil_inputs(draw):
+    """Points in Z^d, 2 <= d <= 5, in a drawn insertion order: a random
+    cloud, the lattice points of a box lifted to the paraboloid (every point
+    on the hull, many cospherical), or the lattice points of a box (many
+    coplanar on every facet)."""
+    d = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(("cloud", "lifted", "box")))
+    if kind == "cloud":
+        coord = st.integers(-2, 2)
+        pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=24, unique=True))
+    else:
+        m = d - 1 if kind == "lifted" else d
+        sides = draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
+        assume(prod(s + 1 for s in sides) <= 40)
+        box = iproduct(*[range(-(s // 2), s - s // 2 + 1) for s in sides])
+        pts = [p + (sum(x * x for x in p),) if kind == "lifted" else p for p in box]
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pencil_inputs())
+def test_hull_facets_from_the_pencil_match_the_elimination_oracle(pts):
+    try:
+        want = _raw_facets_by_full_scan(pts)
+    except NotFullDimensional:
+        with pytest.raises(NotFullDimensional):
+            geometry.hull_facets(pts)
+        return
+    assert _raw_triples(geometry.hull_facets(pts)) == _raw_triples(want)
+
+
+def test_pencil_facet_raises_without_asserts():
+    from chowtool.geometry import _RawFacet, _pencil_facet
+
+    # two opposite facets through the ridge {(0, 0)}: their pencil at p is 0
+    seen = _RawFacet(((0, 0), (0, 1)), (1, 0), 0)
+    kept = _RawFacet(((0, -1), (0, 0)), (-1, 0), 0)
+    with pytest.raises(AssertionError, match="degenerate"):
+        _pencil_facet(((0, 0),), (-1, 0), seen, kept, (1, 1), 1)
+    # a sound pencil, x + y >= 0 through (0, 0) and (-1, 1), checked against
+    # a point on its outer side
+    kept = _RawFacet(((0, 0), (1, 0)), (0, 1), 0)
+    with pytest.raises(AssertionError, match="not inward"):
+        _pencil_facet(((0, 0),), (-1, 1), seen, kept, (-1, -1), 1)
+    assert _pencil_facet(((0, 0),), (-1, 1), seen, kept, (1, 1), 1).normal == (1, 1)
+
+
+@pytest.mark.parametrize("name", ["P3_blowup4", "X9_x_segment"])
+def test_delaunay_cells_match_the_elimination_oracle_hull(name):
+    from chowtool.triangulation import delaunay_triangulation
+
+    pts = lattice_points(catalog.get(name).polytope, 2)
+    lifted = [p + (sum(x * x for x in p),) for p in pts]
+    index = {q: i for i, q in enumerate(lifted)}
+    want = sorted(
+        tuple(index[q] for q in raw.verts)
+        for raw in _raw_facets_by_full_scan(lifted)
+        if raw.normal[-1] > 0
+    )
+    T = delaunay_triangulation(pts)
+    assert T.points == tuple(pts)
+    assert sorted(T.cells) == want

@@ -9,7 +9,7 @@ from math import comb, factorial, prod
 from operator import and_, attrgetter, sub
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chowtool import catalog, triangulation
 from chowtool.errors import DegenerateSimplex, NotFullDimensional, NotReflexive, NoStrategy
@@ -731,6 +731,19 @@ def _translated_shapes(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_translated_shapes())
+@example(
+    # a shape and the same shape with its coordinates cycled, moved by
+    # (5, 0, 0): the second misses both the packed key of the first (another
+    # edge matrix) and its vertex columns (another translate)
+    (
+        3,
+        [[(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 3)], [(0, 0, 0), (0, 0, 2), (0, 1, 0), (3, 1, 1)]],
+        [
+            make_simplex([(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 3)]),
+            make_simplex([(5, 0, 0), (5, 0, 2), (5, 1, 0), (8, 1, 1)]),
+        ],
+    )
+)
 def test_volumes_match_every_cell_with_one_kernel_call_per_shape(case):
     d, shapes, cells = case
     T = Triangulation(dim=d, simplices=tuple(cells))
@@ -870,6 +883,20 @@ def test_volumes_of_the_cube7_carrier_peak_under_a_quarter_of_the_flat_memo():
 
     assert peak(Triangulation.volumes) < peak(_volumes_by_flat_memo) / 4
     assert T.volumes() == _volumes_by_flat_memo(T)
+
+
+@pytest.mark.parametrize("n, cells, calls", [(5, 240, 10), (6, 1440, 12), (7, 10080, 14)])
+def test_volumes_of_the_cube_bipyramid_carriers_match_every_cell(n, cells, calls):
+    from chowtool.stability import bipyramid_carrier
+
+    # the carrier of the double cone over [-1, 1]^n: no two of its cells are
+    # translates, so each misses the packed key
+    T, _ = bipyramid_carrier(catalog.get(f"cube{n}").polytope)
+    T._volumes = None
+    vols, made = _volumes_counting_kernel_calls(T)
+    assert len(vols) == cells
+    assert vols == tuple(simplex_relative_volume_times_factorial(s.vertices) for s in T.simplices)
+    assert made <= calls
 
 
 def test_verify_counts_a_dilated_cell_as_nonunimodular():
