@@ -20,7 +20,7 @@ is not group-invariant.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial, gcd, prod
 
 from .errors import (
@@ -58,8 +58,11 @@ from .triangulation import (
     LatticeSimplex,
     cell_blocks,
     boundary_triangulation,
-    full_triangulation,
+    cycle_strata,
     delaunay_triangulation,
+    level1_boundary,
+    level1_cycles,
+    relint_points,
     verify_regular_boundary,
     staircase_chain,
     _facet_as_aligned_box,
@@ -644,6 +647,16 @@ def _stratum_maxima(T):
     return reach, (j, top, tuple(map(T.points.__getitem__, face)))
 
 
+def _stratum_refusal(name, j, inequality, k_max, **data):
+    """The failed check for a stratum of dimension j whose incidence breaks
+    the inequality for every k > j, sampled by k = 1..k_max or not."""
+    detail = (
+        f"a stratum of dimension {j} has {inequality}; "
+        f"k = 1..{k_max} sample dimensions up to {k_max - 1}"
+    )
+    return Check.make(name, False, detail=detail, dimension=j, **data)
+
+
 def check_special(P, k_max=None):
     """Reflexive + weakly symmetric + regular boundary = asymptotically Chow
     polystable (the special-polytope theorem).
@@ -713,19 +726,10 @@ def check_special(P, k_max=None):
     # kP has points on exactly the strata of dimension <= k - 1
     reach, worst = _stratum_maxima(level1)
     if worst is not None:
-        j, count, worst_points = worst
+        j, count, face = worst
+        inequality = f"incidence {count} > n! = {bound}"
         checks.append(
-            Check.make(
-                "regular boundary",
-                False,
-                detail=(
-                    f"a stratum of dimension {j} has incidence {count} > n! = "
-                    f"{bound}; k = 1..{k_max} sample dimensions up to {k_max - 1}"
-                ),
-                dimension=j,
-                incidence=count,
-                face=worst_points,
-            )
+            _stratum_refusal("regular boundary", j, inequality, k_max, incidence=count, face=face)
         )
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     maxima = [reach[min(k, len(reach)) - 1] for k in range(1, k_max + 1)]
@@ -758,10 +762,14 @@ def check_sufficient(P, k_max=None):
     away from the center and (n/2) m(p;k) < (n+1)! - n(p;k) on the boundary
     force asymptotic Chow polystability.
 
-    Both counts come from strategy triangulations (the full one cones the
-    level-1 boundary over the origin and refines), so they are stratum-wise
-    constant in k and the finite verification certifies the criterion for
-    all k; per-k worst margins are recorded.
+    n and m count the cells at p of the full and boundary tables of kP,
+    alcove refinements of the level-1 complexes (level1_cycles,
+    level1_boundary), so each is the run-product sum (cycle_strata) of the
+    face F with p in relint(kF), for every k.  Every stratum, sampled by
+    k <= k_max (k > dim F) or not, must pass; a failure is reported at its
+    least k and point, interior first, or as a stratum past k_max.  The
+    record reads relint(kF), k <= k_max: the least (margin, k, p) and the
+    greatest (m, p), at its least k.
     """
     n = P.dim
     k_max = _k_max(P, k_max)
@@ -776,35 +784,69 @@ def check_sufficient(P, k_max=None):
     checks.append(ws_check)
     if not ws_check.passed:
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-    bound = factorial(n + 1)
-    worst = None
-    apex_like = None  # the point with the largest boundary incidence
-    for k in range(1, k_max + 1):
-        try:
-            failed, worst, apex_like = _incidence_margins(P, k, worst, apex_like)
-        except (NoStrategy, NotReflexive) as exc:
-            checks.append(
-                Check.make("incidence criterion", False, detail=f"no strategy: {exc}")
-            )
-            return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-        if failed is not None:
-            checks.append(failed)
-            return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-    margin, p, k, np_, m = worst
-    data = dict(
-        worst_point=p,
-        worst_k=k,
-        n_at_worst=np_,
-        m_at_worst=m,
-        lhs=Fraction(n, 2) * m,
-        rhs=bound - np_,
+    try:
+        cycles = level1_cycles(P)
+        boundary = [sorted(c) for _, cells in level1_boundary(P) for c in cells]
+    except (NoStrategy, NotReflexive) as exc:
+        checks.append(
+            Check.make("incidence criterion", False, detail=f"no strategy: {exc}")
+        )
+        return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
+    # one point table for both complexes: the lattice points of P
+    points = tuple(sorted(set(chain.from_iterable(cycles))))
+    index = dict(zip(points, range(len(points)))).__getitem__
+    n_of, m_of = (
+        cycle_strata(points, [tuple(map(index, c)) for c in cells]) for cells in (cycles, boundary)
     )
-    _, ap, ak, an, am = apex_like
-    data["max_m_point"] = ap
-    data["max_m_values"] = f"n = {an}, m = {am} at k = {ak}"
-    if an == am:
+    bound = factorial(n + 1)
+    half = Fraction(n, 2)
+    center = (index((0,) * n),)
+
+    def relint(F, k):
+        return list(relint_points(tuple(map(points.__getitem__, F)), k))
+
+    # (least k with a point in relint(kF), interior before boundary, F), the
+    # boundary inequality doubled to stay in ints; at k = len(F), relint(kF)
+    # is one point
+    failing = [(len(F), 0, F) for F, c in n_of.items() if c > bound and F != center]
+    failing += [(len(F), 1, F) for F, m in m_of.items() if n * m >= 2 * (bound - n_of[F])]
+    if failing:
+        k, side, F = min(failing)
+        name = ("interior incidence", "boundary incidence")[side]
+        if k <= k_max:
+            p, F = min((relint(G, k)[0], G) for j, s, G in failing if (j, s) == (k, side))
+        lhs, rhs = (half * m_of[F], bound - n_of[F]) if side else (n_of[F], bound)
+        if k > k_max:
+            data = dict(n=n_of[F], face=tuple(map(points.__getitem__, F)))
+            if side:
+                data["m"] = m_of[F]
+            inequality = f"(n/2) m = {lhs} not < (n+1)! - n" if side else f"n = {lhs} > (n+1)!"
+            check = _stratum_refusal(name, k - 1, f"{inequality} = {rhs}", k_max, **data)
+        elif side:
+            detail = f"(n/2) m(p;k) = {lhs} not < (n+1)! - n(p;k) = {rhs} at p = {p}, k = {k}"
+            check = Check.make(name, False, detail=detail)
+        else:
+            check = Check.make(name, False, detail=f"n({p};{k}) = {lhs} > (n+1)! = {rhs}")
+        checks.append(check)
+        return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
+    margin = {F: 2 * (bound - n_of[F]) - n * m for F, m in m_of.items() if len(F) <= k_max}
+    low = min(margin.values())
+    k, p, F = min((len(F), relint(F, len(F))[0], F) for F, g in margin.items() if g == low)
+    data = dict(worst_point=p, worst_k=k, n_at_worst=n_of[F], m_at_worst=m_of[F])
+    data.update(lhs=half * m_of[F], rhs=bound - n_of[F])
+    top = max(m_of[F] for F in margin)
+    p, k, F = max(
+        (p, -k, F)
+        for F in margin
+        if m_of[F] == top
+        for k in range(len(F), k_max + 1)
+        for p in relint(F, k)
+    )
+    data["max_m_point"] = p
+    data["max_m_values"] = f"n = {n_of[F]}, m = {top} at k = {-k}"
+    if n_of[F] == top:
         # both counts agree there, giving the combined form (n+2)/2 i < (n+1)!
-        data["apex_inequality"] = f"{Fraction(n + 2, 2) * an} < {bound}"
+        data["apex_inequality"] = f"{Fraction(n + 2, 2) * top} < {bound}"
     checks.append(
         Check.make(
             "incidence criterion",
@@ -817,52 +859,6 @@ def check_sufficient(P, k_max=None):
         )
     )
     return StabilityVerdict(POLYSTABLE, checks, polytope_name=P.name)
-
-
-def _incidence_margins(P, k, worst, apex_like):
-    """check_sufficient at dilation k: (failed check or None, worst, apex_like).
-
-    worst and apex_like, each (margin, p, k, n(p;k), m(p;k)) or None, are
-    the smallest margin and the largest (m, p) of the dilations before k;
-    they come back updated with k's points.  The full and boundary tables of
-    kP are bound to no name and their counts are local to this call, so
-    none of them is alive while the next dilation's tables are built.
-    """
-    n = P.dim
-    bound = factorial(n + 1)
-    origin = (0,) * n
-    n_counts = full_triangulation(P, k).incidence()
-    m_counts = boundary_triangulation(P, k).incidence()
-    for p, c in n_counts.items():
-        if p == origin:
-            continue
-        if c > bound:
-            failed = Check.make(
-                "interior incidence",
-                False,
-                detail=f"n({p};{k}) = {c} > (n+1)! = {bound}",
-            )
-            return failed, worst, apex_like
-    for p, m in m_counts.items():
-        np_ = n_counts[p]
-        lhs = Fraction(n, 2) * m
-        rhs = bound - np_
-        margin = rhs - lhs
-        if worst is None or margin < worst[0]:
-            worst = (margin, p, k, np_, m)
-        if apex_like is None or (m, p) > (apex_like[4], apex_like[1]):
-            apex_like = (margin, p, k, np_, m)
-        if lhs >= rhs:
-            failed = Check.make(
-                "boundary incidence",
-                False,
-                detail=(
-                    f"(n/2) m(p;k) = {lhs} not < (n+1)! - n(p;k) = {rhs} "
-                    f"at p = {p}, k = {k}"
-                ),
-            )
-            return failed, worst, apex_like
-    return None, worst, apex_like
 
 
 # ---------------------------------------------------------------------------
@@ -1069,25 +1065,10 @@ def _coordinate_split(P):
     if len(blocks) < 2:
         return None
     groups = sorted(blocks.values())
-    projs = []
-    for g in groups:
-        projs.append(sorted({tuple(v[i] for i in g) for v in P.vertices}))
-    # the vertex set must factor
-    expect = set()
-
-    def rebuild(idx, acc):
-        if idx == len(groups):
-            out = [0] * n
-            for g, part in zip(groups, acc):
-                for pos, coord in zip(g, part):
-                    out[pos] = coord
-            expect.add(tuple(out))
-            return
-        for part in projs[idx]:
-            rebuild(idx + 1, acc + [part])
-
-    rebuild(0, [])
-    if expect != set(P.vertices):
+    projs = [sorted({tuple(v[i] for i in g) for v in P.vertices}) for g in groups]
+    # the vertex set lies in the product of its projections and maps into it
+    # one to one, so it factors exactly when the sizes agree
+    if len(P.vertices) != prod(map(len, projs)):
         return None
     return groups, projs
 

@@ -16,17 +16,18 @@ bases of double cones), and anything else must be user-supplied.  Cell sets
 restricted to shared faces are lattice-intrinsic for the simplex/box
 strategies, which is what makes the per-facet assembly face-compatible.
 
-The boundary table of kP is the alcove refinement of the level-1 table, each
-cell refined along its lexicographic vertex cycle, so the incidence at a
-point depends only on its stratum: the face F of the level-1 complex with
-the point in relint(kF).  By the run-product law (Lam and Postnikov,
-"Alcoved polytopes I", Discrete Comput. Geom. 38, 2007) it is the sum over
-the cells σ ⊇ F of (d+1)!/prod (r_i+1)!, with r_i the lengths of the cyclic
-runs of σ's vertices missing from F, for every k; a unimodular j-face has
-C(k-1, j) points in relint(kF).  Triangulation.stratum_incidence
-reads these sums off the level-1 table, which is the only boundary table
-the verdict path builds (stability.check_special); the dilated tables serve
-the triangulate command, the incidence criterion and the tests' oracles.
+The boundary and full tables of kP are alcove refinements of level-1
+complexes, each cell refined along its vertex cycle (lexicographic, but for
+the bipyramids of level1_cycles), so the incidence at a point depends only
+on its stratum: the face F of the level-1 complex with the point in
+relint(kF).  By the run-product law (Lam and Postnikov, "Alcoved polytopes
+I", Discrete Comput. Geom. 38, 2007) it is the sum over the cells σ ⊇ F of
+(d+1)!/prod (r_i+1)!, with r_i the lengths of the cyclic runs of σ's
+vertices missing from F, for every k; a unimodular j-face has C(k-1, j)
+points in relint(kF).  _stratum_sums reads these sums off level-1 cells,
+for Triangulation.stratum_incidence (check_special) and cycle_strata
+(check_sufficient), so the verdict path builds no table past level 1; the
+dilated tables serve the triangulate command and the tests' oracles.
 
 A Triangulation is a point table and integer cells: points is the sorted
 tuple of its vertices, and each cell is a sorted tuple of indices into it.
@@ -232,6 +233,50 @@ def _run_product(d, face):
     return factorial(d + 1) // prod(map(factorial, gaps))
 
 
+def _stratum_sums(d, groups):
+    """{face: sum over the cells σ ⊇ F of (d+1)!/prod (r_i+1)!}, the r_i the
+    cyclic runs of σ's cycle positions missing from F (_run_product).
+
+    Each group is (cycle, cells): sorted id tuples, the i-th id at position
+    cycle[i] of the vertex cycle.  The faces at one set of positions in one
+    group are counted in one Counter, at C level.
+    """
+    out = {}
+    for cycle, cells in groups:
+        for size in range(1, d + 2):
+            for face in combinations(range(d + 1), size):
+                # itemgetter of one index returns no tuple, of a slice one
+                get = itemgetter(*face) if size > 1 else itemgetter(slice(face[0], face[0] + 1))
+                weight = _run_product(d, tuple(sorted(map(cycle.__getitem__, face))))
+                for f, c in Counter(map(get, cells)).items():
+                    out[f] = out.get(f, 0) + weight * c
+    return out
+
+
+def cycle_strata(points, cycles):
+    """{face: incidence at every point of relint(kF), for every k} of the
+    alcove refinements of unimodular cells along their vertex cycles, tuples
+    of ids into the sorted points; a face is a sorted id tuple.  Raises
+    ValueError on a cell that is not unimodular."""
+    groups = {}
+    for cycle in cycles:
+        cell = tuple(sorted(cycle))
+        groups.setdefault(tuple(map(cycle.index, cell)), []).append(cell)
+    d = len(cycles[0]) - 1
+    T = Triangulation.from_blocks(d, [(points, list(chain.from_iterable(groups.values())))])
+    if not T.all_unimodular():
+        raise ValueError("stratum incidence needs a unimodular table")
+    return _stratum_sums(d, groups.items())
+
+
+def relint_points(face, k):
+    """The C(k-1, dim F) lattice points of relint(kF), F a unimodular face
+    given by its vertices: sum a_i v_i over the compositions a of k."""
+    for cuts in combinations(range(1, k), len(face) - 1):
+        parts = [b - a for a, b in zip((0,) + cuts, cuts + (k,))]
+        yield tuple(map(sum, zip(*([a * x for x in v] for a, v in zip(parts, face)))))
+
+
 @dataclass(init=False)
 class Triangulation:
     """A finite set of lattice simplices of equal dimension.
@@ -352,34 +397,18 @@ class Triangulation:
         return self._incidence
 
     def stratum_incidence(self):
-        """{face: incidence at every lattice point of relint(kF), for every k}.
-
-        For a unimodular table whose dilations are refined by the alcove rule
-        with lexicographic vertex cycles, as boundary_triangulation's are.
-        A face F is a sorted tuple of point ids, one for every face of every
-        cell.  A point of relint(kF) lies only in alcoves of the kσ with
-        σ ⊇ F, and in (d+1)!/prod (r_i+1)! of those of kσ, where the r_i are
-        the cyclic runs of σ's ids missing from F (the run-product law,
-        _run_product); a unimodular j-face has C(k-1, j) such points.  The
-        faces at one set of positions in the cells are counted in one
-        Counter, at C level.  Raises ValueError on a table with a cell that
-        is not unimodular, where the law does not apply.
+        """{face: incidence at every lattice point of relint(kF), for every k}
+        of the alcove refinements along the lexicographic cycles, the sorted
+        cells, as boundary_triangulation refines them (_stratum_sums); a face
+        is a sorted id tuple.  Raises ValueError on a cell that is not
+        unimodular, where the run-product law does not apply.
         """
-        cells = self.cells
-        if not cells:
+        if not self.cells:
             return {}
         if not self.all_unimodular():
             raise ValueError("stratum incidence needs a unimodular table")
-        d = len(cells[0]) - 1
-        out = {}
-        for size in range(1, d + 2):
-            for face in combinations(range(d + 1), size):
-                # itemgetter of one index returns no tuple, of a slice one
-                get = itemgetter(*face) if size > 1 else itemgetter(slice(face[0], face[0] + 1))
-                weight = _run_product(d, face)
-                for f, c in Counter(map(get, cells)).items():
-                    out[f] = out.get(f, 0) + weight * c
-        return out
+        d = len(self.cells[0]) - 1
+        return _stratum_sums(d, [(range(d + 1), self.cells)])
 
     def ridge_counts(self):
         """Map from (d-1)-subface (sorted tuple of point ids) to the number
@@ -793,14 +822,10 @@ def boundary_triangulation(P, k):
     triangulations, refined inside each dilated cell by the alcove rule, so
     incidence counts depend only on the stratum of a point.
     """
-    n = P.dim
-    if n == 1:
-        points = [(k * f.vertices[0][0],) for f in P.facets]
-        return Triangulation.from_blocks(0, cell_blocks([p] for p in points))
     blocks = [
         _alcove_block(sorted(cell), k) for _, cells in level1_boundary(P) for cell in cells
     ]
-    return Triangulation.from_blocks(n - 1, blocks)
+    return Triangulation.from_blocks(P.dim - 1, blocks)
 
 
 def cone_over_boundary(P, boundary_tri):
@@ -897,52 +922,43 @@ def _bipyramid_exclusions(Q, tris):
 
 
 @per_polytope
-def _bipyramid_cycles(P):
-    """The equator cycles (p, excl, q) of full_triangulation's bipyramid over
-    the double cone P = D(Q) of a polygon Q, lifted to height 0.
+def level1_cycles(P):
+    """The vertex cycles of the cells of a reflexive P's level-1 full complex.
 
-    One cycle per triangle of polygon_unimodular_triangulation(Q), with the
-    vertex _bipyramid_exclusions picks in the middle.  Both depend on Q
-    alone, so they are built once per double cone and kept in its memo
-    beside its level-1 boundary.
-    """
-    Q = P._provenance[1][0]
-    tris = [tuple(t) for t in polygon_unimodular_triangulation(Q)]
-    cycles = []
-    for tri, excl in zip(tris, _bipyramid_exclusions(Q, tris)):
-        p, q = sorted(v for v in tri if v != excl)
-        cycles.append((p + (0,), excl + (0,), q + (0,)))
-    return tuple(cycles)
-
-
-def full_triangulation(P, k):
-    """Unimodular triangulation of kP whose incidence profile feeds the
-    sufficient stability criterion.
-
-    Double cones over polygons are triangulated as bipyramids over a
-    balanced polygon triangulation (interior valences stay at 6, so the
-    axis points meet exactly 24 cells); everything else cones the level-1
-    boundary over the origin.  All dilated cells are alcove-refined with
-    lexicographic vertex cycles, which keeps the complex face-to-face.
+    A double cone D(Q) over a polygon is a bipyramid over a balanced polygon
+    triangulation (interior valences stay at 6, so the axis points meet 24
+    cells), each triangle coned to both apexes along (apex, p, excl, q) with
+    excl from _bipyramid_exclusions; any other P cones its level-1 boundary
+    over the origin along lexicographic cycles.
     """
     if not all(f.offset == 1 for f in P.facets):
         raise NotReflexive("full triangulation requires a reflexive polytope")
-    n = P.dim
-    origin = (0,) * n
-    blocks = []
     prov = P._provenance
     if prov is not None and prov[0] == "double_cone" and prov[1][0].dim == 2:
-        for cycle in _bipyramid_cycles(P):
+        Q = prov[1][0]
+        tris = polygon_unimodular_triangulation(Q)
+        cycles = []
+        for tri, excl in zip(tris, _bipyramid_exclusions(Q, tris)):
+            p, q = sorted(v for v in tri if v != excl)
             for apex in ((0, 0, 1), (0, 0, -1)):
-                # cycle (apex, p, excl, q): the apex is adjacent to p and q,
-                # so dilated edges [apex, p], [apex, q] meet only 4 cells of
+                # dilated edges [apex, p], [apex, q] meet only 4 cells of
                 # this refinement; excl sits opposite the apex
-                blocks.append(_alcove_block([apex, *cycle], k))
-        return Triangulation.from_blocks(n, blocks)
-    for _, cells in level1_boundary(P):
-        for cell in cells:
-            blocks.append(_alcove_block(sorted((origin,) + cell), k))
-    return Triangulation.from_blocks(n, blocks)
+                cycles.append((apex, p + (0,), excl + (0,), q + (0,)))
+        return tuple(cycles)
+    origin = (0,) * P.dim
+    return tuple(
+        tuple(sorted((origin,) + cell)) for _, cells in level1_boundary(P) for cell in cells
+    )
+
+
+def full_triangulation(P, k):
+    """Unimodular triangulation of kP: the alcove refinement of every
+    level1_cycles cell along its cycle, which keeps the complex
+    face-to-face.  check_sufficient reads its incidence off the level-1
+    strata (cycle_strata) instead of building it.
+    """
+    blocks = [_alcove_block(cycle, k) for cycle in level1_cycles(P)]
+    return Triangulation.from_blocks(P.dim, blocks)
 
 
 def delaunay_triangulation(points):

@@ -8,7 +8,14 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowtool.errors import CoverageError, NonIntegralCut, NoTriangulation
+from chowtool import catalog
+from chowtool.errors import (
+    CoverageError,
+    NonIntegralCut,
+    NoStrategy,
+    NotReflexive,
+    NoTriangulation,
+)
 from chowtool.geometry import (
     Polytope,
     product,
@@ -21,7 +28,9 @@ from chowtool.ehrhart import count
 from chowtool.linalg import det_int, dot
 from chowtool.symmetry import AffineFunctional, fo_invariant
 from chowtool.triangulation import (
+    boundary_triangulation,
     delaunay_triangulation,
+    full_triangulation,
     Triangulation,
     cell_blocks,
     make_simplex,
@@ -353,6 +362,158 @@ def test_check_sufficient_DX8_DX9():
     assert v9.status == POLYSTABLE
     data9 = dict(v9.check("incidence criterion").data)
     assert data9["apex_inequality"] == "45/2 < 24"
+
+
+def test_check_sufficient_breaks_a_tie_of_least_margins_at_the_least_point():
+    from chowtool import catalog
+
+    # A4's least margin is reached at several points of k = 3; the record
+    # names the least of them, not the first a table happens to list
+    data = dict(check_sufficient(catalog.get("A4").polytope).check("incidence criterion").data)
+    assert data["worst_k"] == "3"
+    assert data["worst_point"] == "(-1, -1, 0, 0)"
+
+
+def _sufficient_by_tables(P, k_max):
+    """Oracle for check_sufficient's last check, as (name, passed, detail,
+    data): the incidence of the full and boundary tables of kP, enumerated
+    cell by cell for k = 1..k_max.  A failure at the least k is reported at
+    its least point, interior before boundary; the record is the least
+    (margin, k, p) and the greatest (m, p) at its least k."""
+    n = P.dim
+    bound = factorial(n + 1)
+    half = Fraction(n, 2)
+    origin = (0,) * n
+    records = []
+    for k in range(1, k_max + 1):
+        n_counts = full_triangulation(P, k).incidence()
+        m_counts = boundary_triangulation(P, k).incidence()
+        over = [p for p, c in n_counts.items() if p != origin and c > bound]
+        if over:
+            p = min(over)
+            return "interior incidence", False, f"n({p};{k}) = {n_counts[p]} > (n+1)! = {bound}", {}
+        short = [p for p, m in m_counts.items() if half * m >= bound - n_counts[p]]
+        if short:
+            p = min(short)
+            detail = (
+                f"(n/2) m(p;k) = {half * m_counts[p]} not < (n+1)! - n(p;k) = "
+                f"{bound - n_counts[p]} at p = {p}, k = {k}"
+            )
+            return "boundary incidence", False, detail, {}
+        records += [(bound - n_counts[p] - half * m, k, p, n_counts[p], m) for p, m in m_counts.items()]
+    _, k, p, np_, m = min(records)
+    _, ak, ap, an, am = max(records, key=lambda r: (r[4], r[2], -r[1]))
+    data = dict(
+        worst_point=p, worst_k=k, n_at_worst=np_, m_at_worst=m, lhs=half * m, rhs=bound - np_,
+        max_m_point=ap, max_m_values=f"n = {an}, m = {am} at k = {ak}",
+    )
+    if an == am:
+        data["apex_inequality"] = f"{Fraction(n + 2, 2) * an} < {bound}"
+    detail = f"verified k = 1..{k_max}; stratum-wise constant counts extend the strict inequality to all k"
+    return "incidence criterion", True, detail, {key: str(v) for key, v in data.items()}
+
+
+def _full_table_fits(P, k):
+    # a unimodular table of kP holds n! Vol(kP) cells; the oracle leaves out
+    # the largest, as the stratum tests of the triangulation module do
+    return factorial(P.dim) * volume(P) * k**P.dim <= 200_000
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_check_sufficient_matches_the_table_enumeration(name):
+    from chowtool import catalog
+
+    P = catalog.get(name).polytope
+    for k_max in range(1, 5):
+        if not _full_table_fits(P, k_max):
+            continue
+        last = check_sufficient(P, k_max).checks[-1]
+        if last.name in ("origin interior", "weakly symmetric"):
+            continue  # decided before any incidence is read
+        try:
+            want = _sufficient_by_tables(P, k_max)
+        except (NoStrategy, NotReflexive) as exc:
+            assert (last.name, last.passed, last.detail) == (
+                "incidence criterion", False, f"no strategy: {exc}"
+            )
+            continue
+        data = dict(last.data)
+        if "dimension" in data:
+            # a stratum no k <= k_max samples fails: the tables pass up to
+            # k_max and fail first at the least k with a point in it
+            k = int(data["dimension"]) + 1
+            assert k > k_max and want[1]
+            if _full_table_fits(P, k):
+                assert _sufficient_by_tables(P, k - 1)[1]
+                assert _sufficient_by_tables(P, k)[:2] == (last.name, False)
+            continue
+        assert (last.name, last.passed, last.detail, data) == want, k_max
+
+
+def _inflate_sufficient_stratum(monkeypatch, cell_size, dim, value):
+    """Make the stratum sums check_sufficient reads give the least face of
+    dimension dim of the complex whose cells have cell_size vertices the
+    incidence value, as a complex whose alcove refinements break the
+    criterion would."""
+    from chowtool import stability
+
+    real = stability.cycle_strata
+    inflated = []
+
+    def fabricated(points, cycles):
+        strata = real(points, cycles)
+        if len(cycles[0]) == cell_size:
+            face = min(f for f in strata if len(f) == dim + 1)
+            strata[face] = value
+            inflated.append(tuple(map(points.__getitem__, face)))
+        return strata
+
+    monkeypatch.setattr(stability, "cycle_strata", fabricated)
+    return inflated
+
+
+def test_check_sufficient_refuses_an_interior_stratum_past_the_sampled_dilations(monkeypatch):
+    from chowtool import catalog
+
+    P = catalog.get("D_X8").polytope
+    inflated = _inflate_sufficient_stratum(monkeypatch, 4, 2, 25)
+    built = _record_table_builds(monkeypatch)
+    # k = 1, 2 sample the strata of dimension 0 and 1 only
+    verdict = check_sufficient(P, k_max=2)
+    assert verdict.status == INCONCLUSIVE
+    check = verdict.checks[-1]
+    assert (check.name, check.passed) == ("interior incidence", False)
+    assert check.detail == (
+        "a stratum of dimension 2 has n = 25 > (n+1)! = 24; k = 1..2 sample dimensions up to 1"
+    )
+    assert dict(check.data) == {"dimension": "2", "n": "25", "face": str(inflated[0])}
+    assert built == []
+
+
+def test_check_sufficient_refuses_a_boundary_stratum_past_the_sampled_dilations(monkeypatch):
+    from chowtool import catalog
+
+    P = catalog.get("D_X9").polytope
+    # a boundary triangle lies in 12 alcoves of the full table at every k,
+    # so (3/2) m < 24 - 12 fails from m = 8 on
+    inflated = _inflate_sufficient_stratum(monkeypatch, 3, 2, 8)
+    built = _record_table_builds(monkeypatch)
+    verdict = check_sufficient(P, k_max=2)
+    assert verdict.status == INCONCLUSIVE
+    check = verdict.checks[-1]
+    assert (check.name, check.passed) == ("boundary incidence", False)
+    assert check.detail == (
+        "a stratum of dimension 2 has (n/2) m = 12 not < (n+1)! - n = 12; "
+        "k = 1..2 sample dimensions up to 1"
+    )
+    assert dict(check.data) == {"dimension": "2", "n": "12", "m": "8", "face": str(inflated[0])}
+    assert built == []
+    # from k = 3 on the triangle's one point a + b + c is sampled
+    check = check_sufficient(P, k_max=3).checks[-1]
+    assert (check.name, check.passed) == ("boundary incidence", False)
+    point = tuple(map(sum, zip(*inflated[0])))
+    assert check.detail == f"(n/2) m(p;k) = 12 not < (n+1)! - n(p;k) = 12 at p = {point}, k = 3"
+    assert built == []
 
 
 def test_sufficient_threshold_arithmetic():
@@ -954,10 +1115,11 @@ def test_bipyramid_locate_matches_fraction_oracle(Q):
 
 
 def _record_table_builds(monkeypatch):
-    """Wrap the stability module's table builders; the returned list gets
+    """Wrap the table builders of kP, where the triangulation module defines
+    them and where the stability module binds them; the returned list gets
     (k, weak reference to the table) per build, and a build fails while a
     table of a smaller dilation is still alive."""
-    from chowtool import stability
+    from chowtool import stability, triangulation
 
     built = []
 
@@ -971,8 +1133,12 @@ def _record_table_builds(monkeypatch):
 
         return build
 
-    for name in ("boundary_triangulation", "full_triangulation"):
-        monkeypatch.setattr(stability, name, recording(getattr(stability, name)))
+    for module, name in (
+        (stability, "boundary_triangulation"),
+        (triangulation, "boundary_triangulation"),
+        (triangulation, "full_triangulation"),
+    ):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
     return built
 
 
@@ -983,9 +1149,9 @@ def test_no_earlier_dilation_table_is_alive_when_the_next_is_built(entry, monkey
     built = _record_table_builds(monkeypatch)
     verdict = entry(catalog.get("D_X4").polytope)
     assert verdict.status == POLYSTABLE
-    # check_special reads k = 2..4 off the level-1 strata
-    want = [1] if entry is check_special else [1, 2, 3, 4]
-    assert sorted({k for k, _ in built}) == want
+    # both criteria read k = 2..4 off the level-1 strata, so nothing past
+    # level 1 is built
+    assert {k for k, _ in built} <= {1}
 
 
 _SPECIAL = ["X6", "A3", "D_X4", "cuboctahedron", "simplexPn3", "A4", "D4", "simplexPn4", "A5", "D5"]
@@ -1059,9 +1225,6 @@ def test_check_special_refuses_a_sampled_stratum_past_the_bound(monkeypatch):
 
 
 _PINNED_VERDICTS = ["D6", "D7", "simplexPn5", "D_X8", "D_X9", "cube5_doublecone"]
-# check_special ends not regular at k = 1 (D_X8, D_X9) or with no strategy
-# (cube5_doublecone), and classify goes on to check_sufficient's k = 1..4
-_PAST_CHECK_SPECIAL = ("D_X8", "D_X9", "cube5_doublecone")
 
 
 @pytest.mark.parametrize("name", _PINNED_VERDICTS)
@@ -1074,8 +1237,9 @@ def test_verdict_json_of_the_largest_special_entries_is_pinned(name, monkeypatch
     P = catalog.get(name).polytope
     text = jsonio.dump_json(jsonio.verdict_to_json(P, classify(P))) + "\n"
     assert text == (Path(__file__).parent / "data" / "verdicts" / f"{name}.json").read_text()
-    if name not in _PAST_CHECK_SPECIAL:
-        assert [k for k, _ in built] == [1]
+    # check_special builds the level-1 boundary, where one exists (not on
+    # cube5_doublecone), and check_sufficient reads its complexes' strata
+    assert [k for k, _ in built] == ([] if name == "cube5_doublecone" else [1])
 
 
 @pytest.mark.parametrize("k_max", [0, -2])
@@ -1088,3 +1252,83 @@ def test_k_max_below_one_is_refused(entry, k_max):
     for P in (catalog.get("X6").polytope, catalog.get("P3_blowup4").polytope, SEG):
         with pytest.raises(ValueError, match="^k_max must be >= 1$"):
             entry(P, k_max=k_max)
+
+
+def _coordinate_split_by_rebuild(P):
+    """Oracle: the coordinate blocks of P's facet normals, and the vertex set
+    compared with the product of its projections, rebuilt point by point."""
+    n = P.dim
+    blocks = [{i} for i in range(n)]
+    for f in P.facets:
+        support = {i for i in range(n) if f.normal[i] != 0}
+        touched = [b for b in blocks if b & support]
+        blocks = [b for b in blocks if not b & support] + [set().union(*touched)]
+    groups = sorted(sorted(b) for b in blocks if b)
+    if len(groups) < 2:
+        return None
+    projs = [sorted({tuple(v[i] for i in g) for v in P.vertices}) for g in groups]
+    rebuilt = set()
+    for parts in iproduct(*projs):
+        point = [0] * n
+        for g, part in zip(groups, parts):
+            for i, x in zip(g, part):
+                point[i] = x
+        rebuilt.add(tuple(point))
+    if rebuilt != set(P.vertices):
+        return None
+    return groups, projs
+
+
+@st.composite
+def _split_inputs(draw):
+    """A stand-in for a polytope: facet normals each supported in one block
+    of a random partition of the coordinates, and either the product of
+    random point sets on the blocks, that product less some points, or a
+    random point set."""
+    from types import SimpleNamespace
+
+    n = draw(st.integers(2, 4))
+    label = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    blocks = [[i for i in range(n) if label[i] == b] for b in sorted(set(label))]
+    coord = st.integers(-2, 2)
+    normals = []
+    for block in draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=6)):
+        entries = draw(st.lists(coord, min_size=len(block), max_size=len(block)))
+        normal = [0] * n
+        for i, x in zip(block, entries):
+            normal[i] = x
+        normals.append(tuple(normal))
+    sides = [
+        draw(st.sets(st.tuples(*[coord] * len(b)), min_size=1, max_size=3)) for b in blocks
+    ]
+    vertices = set()
+    for parts in iproduct(*sides):
+        point = [0] * n
+        for b, part in zip(blocks, parts):
+            for i, x in zip(b, part):
+                point[i] = x
+        vertices.add(tuple(point))
+    kind = draw(st.sampled_from(["product", "less", "random"]))
+    if kind == "less" and len(vertices) > 1:
+        drop = draw(st.sets(st.sampled_from(sorted(vertices)), min_size=1, max_size=len(vertices) - 1))
+        vertices -= drop
+    elif kind == "random":
+        vertices = draw(st.sets(st.tuples(*[coord] * n), min_size=1, max_size=12))
+    facets = [SimpleNamespace(normal=v) for v in normals]
+    return SimpleNamespace(dim=n, facets=facets, vertices=tuple(sorted(vertices)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_inputs())
+def test_coordinate_split_counts_the_product_of_the_projections(P):
+    from chowtool.stability import _coordinate_split
+
+    assert _coordinate_split(P) == _coordinate_split_by_rebuild(P)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.list_names() if catalog.get(n).polytope.dim > 1])
+def test_coordinate_split_of_the_catalog_matches_the_rebuild(name):
+    from chowtool.stability import _coordinate_split
+
+    P = catalog.get(name).polytope
+    assert _coordinate_split(P) == _coordinate_split_by_rebuild(P)

@@ -27,7 +27,9 @@ from chowtool.triangulation import (
     LatticeSimplex,
     Triangulation,
     cell_blocks,
+    cycle_strata,
     level1_boundary,
+    level1_cycles,
     make_simplex,
     staircase_chain,
     standard_simplex_triangulation,
@@ -489,6 +491,52 @@ def test_stratum_incidence_matches_the_enumeration(name):
         assert sampled == max(boundary_triangulation(P, 4).incidence().values())
 
 
+def _level1_strata(P, order=tuple):
+    """(points, full strata, boundary strata) of P's level-1 complexes, the
+    full cells read along order(cycle)."""
+    cycles = level1_cycles(P)
+    boundary = [sorted(c) for _, cells in level1_boundary(P) for c in cells]
+    points = tuple(sorted({v for c in cycles for v in c}))
+    index = {p: i for i, p in enumerate(points)}
+    full = cycle_strata(points, [tuple(index[v] for v in order(c)) for c in cycles])
+    return points, full, cycle_strata(points, [tuple(index[v] for v in c) for c in boundary])
+
+
+def _strata_prediction(points, strata, k):
+    """{point of kP: its stratum's incidence}, the relative interiors of the
+    dilated faces being disjoint."""
+    out = {}
+    for face, c in strata.items():
+        for p in _relint_points([points[i] for i in face], k):
+            assert p not in out
+            out[p] = c
+    return out
+
+
+# every reflexive entry of dimension <= 4 has a level-1 complex; D_X8 and
+# D_X9 are bipyramids, whose cycles are not lexicographic
+_CYCLE_ENTRIES = [name for name in _STRATUM_ENTRIES if catalog.get(name).polytope.dim <= 4]
+
+
+@pytest.mark.parametrize("name", _CYCLE_ENTRIES)
+def test_stratum_sums_along_cycles_match_the_enumeration_of_both_tables(name):
+    P = catalog.get(name).polytope
+    points, full, boundary = _level1_strata(P)
+    for k in (1, 2, 3):
+        assert _strata_prediction(points, full, k) == full_triangulation(P, k).incidence(), k
+        assert _strata_prediction(points, boundary, k) == boundary_triangulation(P, k).incidence(), k
+
+
+@pytest.mark.parametrize("name", ["D_X8", "D_X9"])
+def test_bipyramid_strata_need_their_cycles(name):
+    # read along lexicographic cycles, the bipyramid's cells give other
+    # counts than its tables: the explicit cycles are what the law needs
+    P = catalog.get(name).polytope
+    assert any(list(c) != sorted(c) for c in level1_cycles(P))
+    points, full, _ = _level1_strata(P, order=sorted)
+    assert _strata_prediction(points, full, 2) != full_triangulation(P, 2).incidence()
+
+
 def _no_wrap_run_product(d, face):
     # the first and the last run counted apart, as if the cycle were a path
     runs = [face[0], d - face[-1]] + [b - a - 1 for a, b in zip(face, face[1:])]
@@ -548,6 +596,16 @@ def test_stratum_incidence_refuses_a_table_that_is_not_unimodular():
     T = Triangulation(dim=2, simplices=(make_simplex([(0, 0), (2, 0), (0, 1)]),))
     with pytest.raises(ValueError, match="unimodular"):
         T.stratum_incidence()
+
+
+def test_stratum_sums_along_cycles_refuse_a_cell_that_is_not_unimodular():
+    points = ((0, 0), (0, 1), (1, 0), (2, 0))
+    # a point of the dilated triangle lies in 1, 3 or 6 of its alcoves
+    assert cycle_strata(points, [(0, 2, 1)]) == {
+        (0,): 1, (1,): 1, (2,): 1, (0, 1): 3, (0, 2): 3, (1, 2): 3, (0, 1, 2): 6
+    }
+    with pytest.raises(ValueError, match="unimodular"):
+        cycle_strata(points, [(0, 3, 1)])
 
 
 def _alcove_refine_cycle_by_points(verts, k):
