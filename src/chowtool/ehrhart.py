@@ -92,7 +92,7 @@ def ehrhart_polynomial(P):
     """Interpolate chi(kP) through k = 0..n and verify all structural invariants.
 
     Raises CoefficientMismatch when the leading coefficient differs from
-    volume(P) or, for n >= 2, the subleading one from boundary_volume(P)/2;
+    volume(P) or the subleading one from boundary_volume(P)/2;
     either signals an enumeration or hull bug upstream.
     """
     n = P.dim
@@ -103,12 +103,11 @@ def ehrhart_polynomial(P):
         raise CoefficientMismatch(
             f"leading coefficient {coeffs[n]} != volume {volume(P)}"
         )
-    if n >= 2:
-        expected = boundary_volume(P) / 2
-        if coeffs[n - 1] != expected:
-            raise CoefficientMismatch(
-                f"k^{n-1} coefficient {coeffs[n-1]} != boundary volume / 2 = {expected}"
-            )
+    expected = boundary_volume(P) / 2
+    if coeffs[n - 1] != expected:
+        raise CoefficientMismatch(
+            f"k^{n-1} coefficient {coeffs[n-1]} != boundary volume / 2 = {expected}"
+        )
     if coeffs[0] != 1:
         raise CoefficientMismatch(f"constant coefficient {coeffs[0]} != 1")
     for k in range(1, n + 2):

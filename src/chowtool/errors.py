@@ -16,10 +16,6 @@ class NotFullDimensional(ChowToolError):
         )
 
 
-class DimensionTooSmall(ChowToolError):
-    """Operation requires a higher-dimensional polytope."""
-
-
 class NotReflexive(ChowToolError):
     """Operation requires all facet offsets to equal 1."""
 

@@ -18,7 +18,7 @@ from math import factorial, gcd
 from numbers import Rational
 from operator import add, mul
 
-from .errors import NotFullDimensional, NotReflexive, DimensionTooSmall, OriginNotInterior
+from .errors import NotFullDimensional, NotReflexive, OriginNotInterior
 from .linalg import (
     dot,
     vec_sub,
@@ -722,9 +722,8 @@ def facet_relative_volume(P, facet):
 
 
 def boundary_volume(P):
-    """Lattice-normalized boundary volume, summed over facets."""
-    if P.dim < 2:
-        raise DimensionTooSmall("boundary volume needs dimension >= 2")
+    """Lattice-normalized boundary volume, summed over facets; a segment's
+    is its two endpoints, 2."""
     return sum(facet_relative_volume(P, f) for f in P.facets)
 
 

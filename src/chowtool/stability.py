@@ -20,7 +20,7 @@ is not group-invariant.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import factorial, gcd, prod
 
 from .errors import (
@@ -58,15 +58,14 @@ from .triangulation import (
     LatticeSimplex,
     cell_blocks,
     boundary_triangulation,
-    cycle_strata,
     delaunay_triangulation,
-    level1_boundary,
-    level1_cycles,
+    level1_strata,
     relint_points,
     verify_regular_boundary,
     staircase_chain,
     _facet_as_aligned_box,
     _freudenthal_box_block,
+    _stratum_sums,
 )
 from .linalg import dot, vec_add, vec_sub, independent_rows, solve_int, solve_rational, primitive
 from .lp import solve_lp
@@ -423,9 +422,9 @@ def vertex_cap_instability(P, v):
 
     Slices the vertex cone at lattice distance one, i.e. along the integral
     functional u with u(e) = -1 on every primitive edge direction e at v; if
-    no such integral u exists, or extra lattice points sneak into the cap,
-    the cut is rejected with NonIntegralCut.  Relative base volume >= d(d+1)
-    certifies non-semistability with a one-sided cap.
+    no such integral u exists, the cut is rejected with NonIntegralCut.
+    Relative base volume >= d(d+1) certifies non-semistability with a
+    one-sided cap.
     """
     d = P.dim
     v = tuple(v)
@@ -442,9 +441,6 @@ def vertex_cap_instability(P, v):
             raise NonIntegralCut("cut functional is not uniquely maximized at v")
     base_pts = [tuple(a + b for a, b in zip(v, e)) for e in dirs]
     cap_poly = Polytope([v] + base_pts)
-    for p in lattice_points(cap_poly, 1):
-        if p != v and dot(u, p) != umax - 1:
-            raise NonIntegralCut("lattice point strictly inside the unit cap")
     # the cap is a pyramid over its base at lattice height 1 (u is primitive,
     # as u(e) = -1), so the base's relative volume is d times the cap's volume
     relvol = d * volume(cap_poly)
@@ -632,7 +628,7 @@ def _stratum_maxima(T):
     (dimension, incidence, vertices) of the least face among the strata of
     the largest incidence, the lowest dimension first.
     """
-    strata = T.stratum_incidence()
+    strata = _stratum_sums(T.dim, [(range(T.dim + 1), T.cells)])
     largest = [0] * (T.dim + 1)
     for face, count in strata.items():
         j = len(face) - 1
@@ -666,8 +662,8 @@ def check_special(P, k_max=None):
     alcove refinements, which are the strategy-built tables of every kP.
     The incidence at a point of kP depends only on its stratum, the face F
     of the level-1 complex with the point in relint(kF), and is the
-    run-product sum of Triangulation.stratum_incidence: over the cells σ ⊇
-    F, (d+1)!/prod (r_i+1)! with r_i the cyclic runs of σ's ids missing
+    run-product sum of _stratum_sums along the sorted cells: over the cells
+    σ ⊇ F, (d+1)!/prod (r_i+1)! with r_i the cyclic runs of σ's ids missing
     from F.  A j-face has points in kP once k > j, so the maximum at k
     (recorded for k = 1..k_max) is the largest stratum incidence of
     dimension <= k - 1; at k = 1 those are the vertex strata, the level-1
@@ -685,24 +681,6 @@ def check_special(P, k_max=None):
     checks.append(ws_check)
     if not ws_check.passed:
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-    if n == 1:
-        # the boundary of a reflexive segment is the two points +-1; each
-        # meets one cell, within the bound 1! = 1
-        checks.append(
-            Check.make(
-                "regular boundary",
-                True,
-                detail="one-dimensional boundary: two points, incidence 1",
-            )
-        )
-        checks.append(
-            Check.make(
-                "special-polytope theorem",
-                True,
-                detail="reflexive + weakly symmetric + regular boundary",
-            )
-        )
-        return StabilityVerdict(POLYSTABLE, checks, polytope_name=P.name)
     bound = factorial(n)
     try:
         level1 = boundary_triangulation(P, 1)
@@ -763,9 +741,9 @@ def check_sufficient(P, k_max=None):
     force asymptotic Chow polystability.
 
     n and m count the cells at p of the full and boundary tables of kP,
-    alcove refinements of the level-1 complexes (level1_cycles,
-    level1_boundary), so each is the run-product sum (cycle_strata) of the
-    face F with p in relint(kF), for every k.  Every stratum, sampled by
+    alcove refinements of the level-1 complexes, so each is the run-product
+    sum of the face F with p in relint(kF), for every k: the verified
+    stratum tables of level1_strata.  Every stratum, sampled by
     k <= k_max (k > dim F) or not, must pass; a failure is reported at its
     least k and point, interior first, or as a stratum past k_max.  The
     record reads relint(kF), k <= k_max: the least (margin, k, p) and the
@@ -785,22 +763,15 @@ def check_sufficient(P, k_max=None):
     if not ws_check.passed:
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     try:
-        cycles = level1_cycles(P)
-        boundary = [sorted(c) for _, cells in level1_boundary(P) for c in cells]
+        points, n_of, m_of = level1_strata(P)
     except (NoStrategy, NotReflexive) as exc:
         checks.append(
             Check.make("incidence criterion", False, detail=f"no strategy: {exc}")
         )
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-    # one point table for both complexes: the lattice points of P
-    points = tuple(sorted(set(chain.from_iterable(cycles))))
-    index = dict(zip(points, range(len(points)))).__getitem__
-    n_of, m_of = (
-        cycle_strata(points, [tuple(map(index, c)) for c in cells]) for cells in (cycles, boundary)
-    )
     bound = factorial(n + 1)
     half = Fraction(n, 2)
-    center = (index((0,) * n),)
+    center = (points.index((0,) * n),)
 
     def relint(F, k):
         return list(relint_points(tuple(map(points.__getitem__, F)), k))
@@ -985,26 +956,20 @@ def falsify(P, k):
         return row
 
     rows = _fold_rows(carrier, [var_of[v] for v in carrier.points], nvars)
-    rhs = [Fraction(0)] * len(rows)
-
-    def add_le(row, b):
-        if all(x == 0 for x in row):
-            if b < 0:
-                raise AssertionError("an empty constraint row with a negative bound")
-            return
-        rows.append(tuple(row))
-        rhs.append(b)
+    rhs = [0] * len(rows)
 
     # box 0 <= f <= 1 (lower bound is native to the solver)
     for j in range(nvars):
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(1)
-        add_le(row, Fraction(1))
+        row = [0] * nvars
+        row[j] = 1
+        rows.append(row)
+        rhs.append(1)
 
-    # anchor pin as two inequalities
+    # anchor pin as two inequalities, dropped when the anchor reads no variable
     arow = coeffs_of(anchor)
-    add_le(list(arow), Fraction(0))
-    add_le([-x for x in arow], Fraction(0))
+    if any(arow):
+        rows += [arow, [-x for x in arow]]
+        rhs += [0, 0]
 
     # objective: (1/Vol) integral - (1/chi) sum, with integer volume weights
     # and point counts gathered per variable before the one division each

@@ -24,10 +24,12 @@ relint(kF).  By the run-product law (Lam and Postnikov, "Alcoved polytopes
 I", Discrete Comput. Geom. 38, 2007) it is the sum over the cells σ ⊇ F of
 (d+1)!/prod (r_i+1)!, with r_i the lengths of the cyclic runs of σ's
 vertices missing from F, for every k; a unimodular j-face has C(k-1, j)
-points in relint(kF).  _stratum_sums reads these sums off level-1 cells,
-for Triangulation.stratum_incidence (check_special) and cycle_strata
-(check_sufficient), so the verdict path builds no table past level 1; the
-dilated tables serve the triangulate command and the tests' oracles.
+points in relint(kF).  _stratum_sums reads these sums off level-1 cells:
+check_special on the boundary table it verifies, check_sufficient through
+level1_strata, the one per-polytope table of both level-1 complexes, whose
+boundary it verifies at k = 1.  So the verdict path builds no table past
+level 1; the dilated tables serve the triangulate command and the tests'
+oracles.
 
 A Triangulation is a point table and integer cells: points is the sorted
 tuple of its vertices, and each cell is a sorted tuple of indices into it.
@@ -253,22 +255,6 @@ def _stratum_sums(d, groups):
     return out
 
 
-def cycle_strata(points, cycles):
-    """{face: incidence at every point of relint(kF), for every k} of the
-    alcove refinements of unimodular cells along their vertex cycles, tuples
-    of ids into the sorted points; a face is a sorted id tuple.  Raises
-    ValueError on a cell that is not unimodular."""
-    groups = {}
-    for cycle in cycles:
-        cell = tuple(sorted(cycle))
-        groups.setdefault(tuple(map(cycle.index, cell)), []).append(cell)
-    d = len(cycles[0]) - 1
-    T = Triangulation.from_blocks(d, [(points, list(chain.from_iterable(groups.values())))])
-    if not T.all_unimodular():
-        raise ValueError("stratum incidence needs a unimodular table")
-    return _stratum_sums(d, groups.items())
-
-
 def relint_points(face, k):
     """The C(k-1, dim F) lattice points of relint(kF), F a unimodular face
     given by its vertices: sum a_i v_i over the compositions a of k."""
@@ -395,20 +381,6 @@ class Triangulation:
         every = points if index is None else tuple(index)
         self._incidence = {every[i]: c for i, c in counts.items()}
         return self._incidence
-
-    def stratum_incidence(self):
-        """{face: incidence at every lattice point of relint(kF), for every k}
-        of the alcove refinements along the lexicographic cycles, the sorted
-        cells, as boundary_triangulation refines them (_stratum_sums); a face
-        is a sorted id tuple.  Raises ValueError on a cell that is not
-        unimodular, where the run-product law does not apply.
-        """
-        if not self.cells:
-            return {}
-        if not self.all_unimodular():
-            raise ValueError("stratum incidence needs a unimodular table")
-        d = len(self.cells[0]) - 1
-        return _stratum_sums(d, [(range(d + 1), self.cells)])
 
     def ridge_counts(self):
         """Map from (d-1)-subface (sorted tuple of point ids) to the number
@@ -790,8 +762,6 @@ def level1_boundary(P):
     NoStrategy when a facet fits none of the built-in shapes.
     """
     n = P.dim
-    if n == 1:
-        return tuple((f, ((f.vertices[0],),)) for f in P.facets)
     out = []
     for f in P.facets:
         box = _facet_as_aligned_box(f)
@@ -955,10 +925,54 @@ def full_triangulation(P, k):
     """Unimodular triangulation of kP: the alcove refinement of every
     level1_cycles cell along its cycle, which keeps the complex
     face-to-face.  check_sufficient reads its incidence off the level-1
-    strata (cycle_strata) instead of building it.
+    strata (level1_strata) instead of building it.
     """
     blocks = [_alcove_block(cycle, k) for cycle in level1_cycles(P)]
     return Triangulation.from_blocks(P.dim, blocks)
+
+
+@per_polytope
+def level1_strata(P):
+    """(points, full, boundary) of a reflexive P: its sorted lattice points,
+    and {face: incidence at every lattice point of relint(kF), for every k}
+    of the alcove refinements of the level-1 full complex, along the
+    level1_cycles, and of the level-1 boundary, along its sorted cells
+    (_stratum_sums).  A face is a sorted tuple of ids into points, of
+    dimension len(face) - 1.
+
+    The run-product law reads unimodular cells, so both complexes are
+    verified once, here: raises ValueError unless every full cell is
+    unimodular and the boundary passes verify_regular_boundary at k = 1 in
+    coverage, unimodularity, face compatibility and facet alignment.  Its
+    n! bound is check_special's and is not required.  NotReflexive and
+    NoStrategy come from level1_cycles and level1_boundary.
+    """
+    n = P.dim
+    cycles = level1_cycles(P)
+    points = tuple(sorted(set(chain.from_iterable(cycles))))
+    index = dict(zip(points, range(len(points)))).__getitem__
+    # the cells read along one vertex cycle pattern form one group
+    groups = {}
+    for cycle in cycles:
+        ids = tuple(map(index, cycle))
+        cell = tuple(sorted(ids))
+        groups.setdefault(tuple(map(ids.index, cell)), []).append(cell)
+    full = Triangulation.from_blocks(n, [(points, list(chain.from_iterable(groups.values())))])
+    if not full.all_unimodular():
+        raise ValueError("the level-1 full complex has a cell that is not unimodular")
+    cells = [tuple(map(index, c)) for _, facet_cells in level1_boundary(P) for c in facet_cells]
+    boundary = Triangulation.from_blocks(n - 1, [(points, cells)])
+    report = verify_regular_boundary(P, boundary, 1)
+    passed = {
+        "coverage": report.coverage_ok,
+        "unimodularity": report.all_unimodular,
+        "face compatibility": report.face_compatible,
+        "facet alignment": report.facet_aligned,
+    }
+    failed = [name for name, ok in passed.items() if not ok]
+    if failed:
+        raise ValueError(f"the level-1 boundary fails {', '.join(failed)}")
+    return points, _stratum_sums(n, groups.items()), _stratum_sums(n - 1, [(range(n), boundary.cells)])
 
 
 def delaunay_triangulation(points):
@@ -1150,3 +1164,4 @@ def verify_regular_boundary(P, T, k):
         offenders=offenders,
         regular=regular,
     )
+

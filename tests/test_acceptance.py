@@ -86,8 +86,6 @@ def test_criterion_02_reflexive_identity():
     checked = 0
     for e in reflexive_entries():
         Q = e.polytope
-        if Q.dim < 2:
-            continue
         assert boundary_volume(Q) == Q.dim * volume(Q), e.name
         checked += 1
     assert checked >= 25

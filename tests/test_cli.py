@@ -74,6 +74,14 @@ def test_triangulate_boundary(capsys):
     assert data["max_incidence"] == 8
 
 
+def test_triangulate_the_boundary_of_a_segment(capsys):
+    code, out, _ = run(capsys, "triangulate", "cube1", "--boundary", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["cells"], data["relative_volume"], data["max_incidence"]) == (2, "2", 1)
+    assert data["regular"] is True
+
+
 def test_triangulate_checks_a_supplied_triangulation(capsys, tmp_path):
     edges = [[[-1, -1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [-1, -1]]]
     path = tmp_path / "t.json"

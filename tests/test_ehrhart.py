@@ -51,6 +51,13 @@ def test_ehrhart_out_of_sample():
             assert poly(k) == count(P, k)
 
 
+def test_ehrhart_segments():
+    # the k^0 coefficient of a segment's polynomial is its boundary volume
+    # over 2: its two endpoints
+    assert ehrhart_polynomial(SEG).coefficients == (1, 2)
+    assert ehrhart_polynomial(Polytope([(0,), (3,)])).coefficients == (1, 3)
+
+
 def test_pick_theorem_dimension_two():
     for P in (X3, X9, SQUARE):
         poly = ehrhart_polynomial(P)

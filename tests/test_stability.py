@@ -201,6 +201,50 @@ def _cap_base_facet_volume(P, v):
     return facet_relative_volume(cap, base)
 
 
+def _assert_unit_cap_lies_on_the_cut(P):
+    """Every lattice point of the unit cap at a vertex v other than v lies
+    on u = u(v) - 1, wherever the integral unit-cut functional u exists:
+    u(e) = -1 on every edge direction e puts the cap between the two
+    levels, and v is its one vertex on the upper one.  Returns the number of
+    caps checked."""
+    from chowtool.stability import _edges_at_vertex, _solve_functional
+
+    checked = 0
+    for v in P.vertices:
+        u = _solve_functional(_edges_at_vertex(P, v), P.dim)
+        if u is None:
+            continue
+        _, cap = _unit_cap(P, v)
+        top = dot(u, v)
+        assert all(p == v or dot(u, p) == top - 1 for p in lattice_points(cap, 1)), v
+        checked += 1
+    return checked
+
+
+def test_unit_caps_of_the_catalog_lie_on_the_cut():
+    from chowtool import catalog
+
+    assert sum(_assert_unit_cap_lies_on_the_cut(e.polytope) for e in catalog.entries() if e.polytope.dim <= 4) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=8, unique=True
+        )
+    )
+)
+def test_unit_caps_of_random_polytopes_lie_on_the_cut(pts):
+    from chowtool.errors import NotFullDimensional
+
+    try:
+        P = Polytope(pts)
+    except NotFullDimensional:
+        return
+    _assert_unit_cap_lies_on_the_cut(P)
+
+
 def _assert_cap_base_volumes_match(P):
     accepted = 0
     for v in P.vertices:
@@ -450,25 +494,27 @@ def test_check_sufficient_matches_the_table_enumeration(name):
         assert (last.name, last.passed, last.detail, data) == want, k_max
 
 
-def _inflate_sufficient_stratum(monkeypatch, cell_size, dim, value):
-    """Make the stratum sums check_sufficient reads give the least face of
-    dimension dim of the complex whose cells have cell_size vertices the
+def _inflate_sufficient_stratum(monkeypatch, table, dim, value):
+    """Make the stratum tables check_sufficient reads (level1_strata) give
+    the least face of dimension dim of the "full" or "boundary" complex the
     incidence value, as a complex whose alcove refinements break the
     criterion would."""
     from chowtool import stability
 
-    real = stability.cycle_strata
+    real = stability.level1_strata
     inflated = []
 
-    def fabricated(points, cycles):
-        strata = real(points, cycles)
-        if len(cycles[0]) == cell_size:
-            face = min(f for f in strata if len(f) == dim + 1)
-            strata[face] = value
-            inflated.append(tuple(map(points.__getitem__, face)))
-        return strata
+    def fabricated(P):
+        points, *tables = real(P)
+        i = ("full", "boundary").index(table)
+        # a copy: the real tables are a cached fact of P
+        strata = tables[i] = dict(tables[i])
+        face = min(f for f in strata if len(f) == dim + 1)
+        strata[face] = value
+        inflated.append(tuple(map(points.__getitem__, face)))
+        return (points, *tables)
 
-    monkeypatch.setattr(stability, "cycle_strata", fabricated)
+    monkeypatch.setattr(stability, "level1_strata", fabricated)
     return inflated
 
 
@@ -476,7 +522,7 @@ def test_check_sufficient_refuses_an_interior_stratum_past_the_sampled_dilations
     from chowtool import catalog
 
     P = catalog.get("D_X8").polytope
-    inflated = _inflate_sufficient_stratum(monkeypatch, 4, 2, 25)
+    inflated = _inflate_sufficient_stratum(monkeypatch, "full", 2, 25)
     built = _record_table_builds(monkeypatch)
     # k = 1, 2 sample the strata of dimension 0 and 1 only
     verdict = check_sufficient(P, k_max=2)
@@ -496,7 +542,7 @@ def test_check_sufficient_refuses_a_boundary_stratum_past_the_sampled_dilations(
     P = catalog.get("D_X9").polytope
     # a boundary triangle lies in 12 alcoves of the full table at every k,
     # so (3/2) m < 24 - 12 fails from m = 8 on
-    inflated = _inflate_sufficient_stratum(monkeypatch, 3, 2, 8)
+    inflated = _inflate_sufficient_stratum(monkeypatch, "boundary", 2, 8)
     built = _record_table_builds(monkeypatch)
     verdict = check_sufficient(P, k_max=2)
     assert verdict.status == INCONCLUSIVE
@@ -514,6 +560,25 @@ def test_check_sufficient_refuses_a_boundary_stratum_past_the_sampled_dilations(
     point = tuple(map(sum, zip(*inflated[0])))
     assert check.detail == f"(n/2) m(p;k) = 12 not < (n+1)! - n(p;k) = 12 at p = {point}, k = 3"
     assert built == []
+
+
+def test_check_sufficient_refuses_a_level1_boundary_that_fails_verification(monkeypatch):
+    # a D(X8) with no level-1 fact computed yet, whose level-1 boundary
+    # misses one cell: the cone over the rest is still unimodular, but the
+    # boundary no longer covers the boundary of P, and the ridges of the
+    # missing cell lie in one cell each
+    from chowtool import triangulation
+
+    P = double_cone(catalog.get("X8").polytope)
+    real = triangulation.level1_boundary
+
+    def dropped(Q):
+        (facet, cells), *rest = real(Q)
+        return ((facet, cells[1:]), *rest)
+
+    monkeypatch.setattr(triangulation, "level1_boundary", dropped)
+    with pytest.raises(ValueError, match="^the level-1 boundary fails coverage, face compatibility$"):
+        check_sufficient(P)
 
 
 def test_sufficient_threshold_arithmetic():
@@ -625,6 +690,16 @@ def test_classify_fo_witness_not_semistable():
     assert v.certificate.gap == -Fraction(1, 12)
     # negative gap re-evaluates exactly
     assert chow_gap(Q_SKEW, v.certificate.k, v.certificate.function) == v.certificate.gap
+
+
+def test_check_special_decides_a_segment_on_the_general_path():
+    # the boundary of a segment is its two endpoints, each in one cell at
+    # every k, within the bound 1! = 1
+    verdict = check_special(SEG)
+    assert verdict.status == POLYSTABLE
+    check = verdict.check("regular boundary")
+    assert check.passed
+    assert dict(check.data) == {"bound": "1", "max_incidence_by_k": "(1, 1)", "maxima_stable": "True"}
 
 
 def test_classify_2d_and_segments():
@@ -1167,23 +1242,25 @@ def test_check_special_builds_only_the_level1_boundary(name, monkeypatch):
     assert [k for k, _ in built] == [1]
 
 
-def _inflate_stratum(monkeypatch, dim, excess=1):
-    """Make Triangulation.stratum_incidence raise the least face of dimension
-    dim past n! by excess: a fabricated stratum table, as a complex whose
-    alcove refinements break the bound would give."""
-    from chowtool import triangulation
+def _inflate_stratum(monkeypatch, P, dim, excess=1):
+    """Make the stratum sums check_special reads off P's level-1 boundary
+    table (_stratum_sums) raise the least face of dimension dim past n! by
+    excess: a fabricated stratum table, as a complex whose alcove
+    refinements break the bound would give."""
+    from chowtool import stability
 
-    real = triangulation.Triangulation.stratum_incidence
+    real = stability._stratum_sums
+    points = boundary_triangulation(P, 1).points
     inflated = []
 
-    def fabricated(T):
-        strata = dict(real(T))
+    def fabricated(d, groups):
+        strata = dict(real(d, groups))
         face = min(f for f in strata if len(f) == dim + 1)
-        strata[face] = factorial(T.dim + 1) + excess
-        inflated.append(tuple(map(T.points.__getitem__, face)))
+        strata[face] = factorial(d + 1) + excess
+        inflated.append(tuple(map(points.__getitem__, face)))
         return strata
 
-    monkeypatch.setattr(triangulation.Triangulation, "stratum_incidence", fabricated)
+    monkeypatch.setattr(stability, "_stratum_sums", fabricated)
     return inflated
 
 
@@ -1191,7 +1268,7 @@ def test_check_special_refuses_a_stratum_past_the_sampled_dilations(monkeypatch)
     from chowtool import catalog
 
     P = catalog.get("D_X4").polytope
-    inflated = _inflate_stratum(monkeypatch, 2)
+    inflated = _inflate_stratum(monkeypatch, P, 2)
     built = _record_table_builds(monkeypatch)
     # k = 1, 2 sample the strata of dimension 0 and 1 only
     verdict = check_special(P, k_max=2)
@@ -1209,7 +1286,7 @@ def test_check_special_refuses_a_sampled_stratum_past_the_bound(monkeypatch):
     from chowtool import catalog
 
     P = catalog.get("D_X4").polytope
-    inflated = _inflate_stratum(monkeypatch, 1, excess=2)
+    inflated = _inflate_stratum(monkeypatch, P, 1, excess=2)
     built = _record_table_builds(monkeypatch)
     verdict = check_special(P)
     # the edge strata are sampled from k = 2 on; the stratum report refuses

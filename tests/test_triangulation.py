@@ -27,9 +27,9 @@ from chowtool.triangulation import (
     LatticeSimplex,
     Triangulation,
     cell_blocks,
-    cycle_strata,
     level1_boundary,
     level1_cycles,
+    level1_strata,
     make_simplex,
     staircase_chain,
     standard_simplex_triangulation,
@@ -447,6 +447,12 @@ def _relint_points(verts, k):
     return out
 
 
+def _lex_strata(T):
+    """check_special's stratum table of a level-1 boundary table T: the
+    run-product sums along its sorted cells."""
+    return triangulation._stratum_sums(T.dim, [(range(T.dim + 1), T.cells)])
+
+
 def _stratum_prediction(P, k):
     """{point of the boundary of kP: its level-1 stratum's incidence}.
 
@@ -454,7 +460,7 @@ def _stratum_prediction(P, k):
     relative interiors of distinct faces share none."""
     T1 = boundary_triangulation(P, 1)
     out = {}
-    for face, c in T1.stratum_incidence().items():
+    for face, c in _lex_strata(T1).items():
         points = _relint_points([T1.points[i] for i in face], k)
         assert len(set(points)) == len(points) == comb(k - 1, len(face) - 1)
         for p in points:
@@ -480,26 +486,25 @@ def test_stratum_incidence_matches_the_enumeration(name):
     # the k = 4 tables of cube5 and simplexPn5 hold about 1 and 2 million
     # cells, so at k = 4 the maxima are compared on the smaller tables only
     T1 = boundary_triangulation(P, 1)
-    strata = T1.stratum_incidence()
-    # check_special records the largest vertex stratum as the maximum at k = 1;
-    # a segment's boundary has no volume to verify against
-    if P.dim > 1:
-        vertex_max = max(c for face, c in strata.items() if len(face) == 1)
-        assert vertex_max == verify_regular_boundary(P, T1, 1).max_incidence
+    strata = _lex_strata(T1)
+    # check_special records the largest vertex stratum as the maximum at k = 1
+    vertex_max = max(c for face, c in strata.items() if len(face) == 1)
+    assert vertex_max == verify_regular_boundary(P, T1, 1).max_incidence
     if len(T1) * 4 ** (P.dim - 1) <= 200_000:
         sampled = max(c for face, c in strata.items() if len(face) <= 4)
         assert sampled == max(boundary_triangulation(P, 4).incidence().values())
 
 
-def _level1_strata(P, order=tuple):
-    """(points, full strata, boundary strata) of P's level-1 complexes, the
-    full cells read along order(cycle)."""
-    cycles = level1_cycles(P)
-    boundary = [sorted(c) for _, cells in level1_boundary(P) for c in cells]
-    points = tuple(sorted({v for c in cycles for v in c}))
-    index = {p: i for i, p in enumerate(points)}
-    full = cycle_strata(points, [tuple(index[v] for v in order(c)) for c in cycles])
-    return points, full, cycle_strata(points, [tuple(index[v] for v in c) for c in boundary])
+def _level1_strata(P):
+    """(points, full strata, boundary strata) of P's level-1 complexes,
+    with the tables' own points and check_special's boundary strata read in
+    them: the boundary table is the same complex in both."""
+    points, full, boundary = level1_strata(P)
+    T1 = boundary_triangulation(P, 1)
+    ids = [points.index(p) for p in T1.points]
+    lex = {tuple(ids[i] for i in face): c for face, c in _lex_strata(T1).items()}
+    assert lex == boundary
+    return points, full, boundary
 
 
 def _strata_prediction(points, strata, k):
@@ -533,7 +538,9 @@ def test_bipyramid_strata_need_their_cycles(name):
     # counts than its tables: the explicit cycles are what the law needs
     P = catalog.get(name).polytope
     assert any(list(c) != sorted(c) for c in level1_cycles(P))
-    points, full, _ = _level1_strata(P, order=sorted)
+    points, _, _ = level1_strata(P)
+    cells = sorted(tuple(sorted(map(points.index, c))) for c in level1_cycles(P))
+    full = triangulation._stratum_sums(P.dim, [(range(P.dim + 1), cells)])
     assert _strata_prediction(points, full, 2) != full_triangulation(P, 2).incidence()
 
 
@@ -573,10 +580,10 @@ def test_stratum_oracle_rejects_a_mutated_law(name, mutant, monkeypatch):
 def test_stratum_incidence_is_invariant_under_reversing_the_cycle(monkeypatch):
     # the runs of a reversed cycle are those of the cycle, so the dihedral
     # relabelling the alcove rule allows changes no count
-    P = catalog.get("simplexPn4").polytope
-    want = boundary_triangulation(P, 1).stratum_incidence()
+    T1 = boundary_triangulation(catalog.get("simplexPn4").polytope, 1)
+    want = _lex_strata(T1)
     monkeypatch.setattr(triangulation, "_run_product", _cycle_relabelled(lambda d: list(range(d, -1, -1))))
-    assert boundary_triangulation(P, 1).stratum_incidence() == want
+    assert _lex_strata(T1) == want
 
 
 def test_verify_regular_boundary_refuses_a_table_of_the_wrong_dimension():
@@ -592,20 +599,23 @@ def test_verify_regular_boundary_refuses_a_table_of_the_wrong_dimension():
             verify_regular_boundary(P, T, 1)
 
 
-def test_stratum_incidence_refuses_a_table_that_is_not_unimodular():
-    T = Triangulation(dim=2, simplices=(make_simplex([(0, 0), (2, 0), (0, 1)]),))
-    with pytest.raises(ValueError, match="unimodular"):
-        T.stratum_incidence()
+def _fresh(name):
+    """A catalog entry rebuilt from its vertices, with none of its
+    per-polytope facts computed yet."""
+    return Polytope(catalog.get(name).polytope.vertices, name=name)
 
 
-def test_stratum_sums_along_cycles_refuse_a_cell_that_is_not_unimodular():
-    points = ((0, 0), (0, 1), (1, 0), (2, 0))
-    # a point of the dilated triangle lies in 1, 3 or 6 of its alcoves
-    assert cycle_strata(points, [(0, 2, 1)]) == {
-        (0,): 1, (1,): 1, (2,): 1, (0, 1): 3, (0, 2): 3, (1, 2): 3, (0, 1, 2): 6
-    }
-    with pytest.raises(ValueError, match="unimodular"):
-        cycle_strata(points, [(0, 3, 1)])
+def test_level1_strata_refuses_a_full_cell_that_is_not_unimodular(monkeypatch):
+    # one cell of the square's cone replaced by a triangle of twice its
+    # area: the run-product law does not apply to it, although the
+    # boundary table still passes
+    P = _fresh("cube2")
+    cells = list(level1_cycles(P))
+    cells[cells.index(((0, 0), (1, 0), (1, 1)))] = ((0, 0), (1, -1), (1, 1))
+    assert not Triangulation(2, map(make_simplex, cells)).all_unimodular()
+    monkeypatch.setattr(triangulation, "level1_cycles", lambda Q: tuple(cells))
+    with pytest.raises(ValueError, match="^the level-1 full complex has a cell that is not unimodular$"):
+        level1_strata(P)
 
 
 def _alcove_refine_cycle_by_points(verts, k):
