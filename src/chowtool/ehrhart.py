@@ -2,8 +2,8 @@
 
 Counts come from direct enumeration; the Ehrhart polynomial is recovered by
 Lagrange interpolation through k = 0..n with the convention count(P, 0) = 1,
-then cross-checked against the geometric leading coefficients before it is
-returned.
+then cross-checked against the geometric leading coefficients and the count
+at k = n + 1 before it is returned.
 """
 
 from dataclasses import dataclass
@@ -92,8 +92,9 @@ def ehrhart_polynomial(P):
     """Interpolate chi(kP) through k = 0..n and verify all structural invariants.
 
     Raises CoefficientMismatch when the leading coefficient differs from
-    volume(P) or the subleading one from boundary_volume(P)/2;
-    either signals an enumeration or hull bug upstream.
+    volume(P), the subleading one from boundary_volume(P)/2, the constant
+    one from 1, or the polynomial from count(P, n + 1); each signals an
+    enumeration or hull bug upstream.
     """
     n = P.dim
     samples = [(k, count(P, k)) for k in range(n + 1)]
@@ -110,9 +111,9 @@ def ehrhart_polynomial(P):
         )
     if coeffs[0] != 1:
         raise CoefficientMismatch(f"constant coefficient {coeffs[0]} != 1")
-    for k in range(1, n + 2):
-        if poly(k) != count(P, k):
-            raise CoefficientMismatch(f"interpolation disagrees with count at k={k}")
+    # k = 1..n are interpolation nodes, so only k = n + 1 can disagree
+    if poly(n + 1) != count(P, n + 1):
+        raise CoefficientMismatch(f"interpolation disagrees with count at k={n + 1}")
     return poly
 
 

@@ -57,15 +57,13 @@ from .triangulation import (
     Triangulation,
     LatticeSimplex,
     cell_blocks,
-    boundary_triangulation,
     delaunay_triangulation,
+    level1_boundary_strata,
     level1_strata,
     relint_points,
-    verify_regular_boundary,
     staircase_chain,
     _facet_as_aligned_box,
     _freudenthal_box_block,
-    _stratum_sums,
 )
 from .linalg import dot, vec_add, vec_sub, independent_rows, solve_int, solve_rational, primitive
 from .lp import solve_lp
@@ -620,27 +618,28 @@ def _k_max(P, k_max):
     return k_max
 
 
-def _stratum_maxima(T):
-    """(reach, worst) of the strata of a regular level-1 boundary table T.
+def _stratum_maxima(points, strata):
+    """(reach, worst) of the boundary strata of level1_boundary_strata:
+    points in Z^n, and {face: incidence} with faces as ids into points.
 
-    reach[j] is the largest stratum incidence over T's faces of dimension
+    reach[j] is the largest stratum incidence over the faces of dimension
     <= j.  worst is None when every stratum stays within n!, and otherwise
     (dimension, incidence, vertices) of the least face among the strata of
     the largest incidence, the lowest dimension first.
     """
-    strata = _stratum_sums(T.dim, [(range(T.dim + 1), T.cells)])
-    largest = [0] * (T.dim + 1)
+    n = len(points[0])
+    largest = [0] * n
     for face, count in strata.items():
         j = len(face) - 1
         if count > largest[j]:
             largest[j] = count
     reach = tuple(accumulate(largest, max))
     top = reach[-1]
-    if top <= factorial(T.dim + 1):
+    if top <= factorial(n):
         return reach, None
     j = largest.index(top)
     face = min(f for f, c in strata.items() if len(f) == j + 1 and c == top)
-    return reach, (j, top, tuple(map(T.points.__getitem__, face)))
+    return reach, (j, top, tuple(map(points.__getitem__, face)))
 
 
 def _stratum_refusal(name, j, inequality, k_max, **data):
@@ -657,18 +656,22 @@ def check_special(P, k_max=None):
     """Reflexive + weakly symmetric + regular boundary = asymptotically Chow
     polystable (the special-polytope theorem).
 
-    Only the level-1 boundary table is built and verified: coverage,
-    unimodularity, face compatibility and facet alignment carry over to its
-    alcove refinements, which are the strategy-built tables of every kP.
-    The incidence at a point of kP depends only on its stratum, the face F
-    of the level-1 complex with the point in relint(kF), and is the
-    run-product sum of _stratum_sums along the sorted cells: over the cells
-    σ ⊇ F, (d+1)!/prod (r_i+1)! with r_i the cyclic runs of σ's ids missing
-    from F.  A j-face has points in kP once k > j, so the maximum at k
-    (recorded for k = 1..k_max) is the largest stratum incidence of
-    dimension <= k - 1; at k = 1 those are the vertex strata, the level-1
-    table's own incidence.  Every stratum, sampled by k <= k_max or not,
-    must stay within n!, which makes the bound hold for all k.
+    Reads P's one verified level-1 boundary, level1_boundary_strata, which
+    check_sufficient reads too: coverage, unimodularity, face compatibility
+    and facet alignment (a failure raises ValueError there) carry over to
+    its alcove refinements, the strategy-built tables of every kP, and
+    report.regular adds the n! bound at k = 1.  The incidence at a point of
+    kP depends only on its stratum, the face F of the level-1 complex with
+    the point in relint(kF), and is the run-product sum of _stratum_sums
+    along the sorted cells: over the cells σ ⊇ F, (d+1)!/prod (r_i+1)! with
+    r_i the cyclic runs of σ's ids missing from F.  A j-face has points in
+    kP once k > j, so the maximum at k (recorded for k = 1..k_max) is the
+    largest stratum incidence of dimension <= k - 1; at k = 1 those are the
+    vertex strata, the level-1 table's own incidence.  Every stratum,
+    sampled by k <= k_max or not, must stay within n!, which makes the
+    bound hold for all k.  The full complex's strata (level1_strata) are
+    check_sufficient's and are not computed here: they cost more than the
+    boundary's.
     """
     n = P.dim
     k_max = _k_max(P, k_max)
@@ -683,13 +686,12 @@ def check_special(P, k_max=None):
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     bound = factorial(n)
     try:
-        level1 = boundary_triangulation(P, 1)
+        points, report, strata = level1_boundary_strata(P)
     except NoStrategy as exc:
         checks.append(
             Check.make("regular boundary", False, detail=f"no strategy: {exc}")
         )
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
-    report = verify_regular_boundary(P, level1, 1)
     if not report.regular:
         checks.append(
             Check.make(
@@ -702,7 +704,7 @@ def check_special(P, k_max=None):
         return StabilityVerdict(INCONCLUSIVE, checks, polytope_name=P.name)
     # reach[j]: the largest incidence on the strata of dimension <= j, and
     # kP has points on exactly the strata of dimension <= k - 1
-    reach, worst = _stratum_maxima(level1)
+    reach, worst = _stratum_maxima(points, strata)
     if worst is not None:
         j, count, face = worst
         inequality = f"incidence {count} > n! = {bound}"

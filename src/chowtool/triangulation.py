@@ -24,12 +24,14 @@ relint(kF).  By the run-product law (Lam and Postnikov, "Alcoved polytopes
 I", Discrete Comput. Geom. 38, 2007) it is the sum over the cells σ ⊇ F of
 (d+1)!/prod (r_i+1)!, with r_i the lengths of the cyclic runs of σ's
 vertices missing from F, for every k; a unimodular j-face has C(k-1, j)
-points in relint(kF).  _stratum_sums reads these sums off level-1 cells:
-check_special on the boundary table it verifies, check_sufficient through
-level1_strata, the one per-polytope table of both level-1 complexes, whose
-boundary it verifies at k = 1.  So the verdict path builds no table past
-level 1; the dilated tables serve the triangulate command and the tests'
-oracles.
+points in relint(kF).  _stratum_sums reads these sums off level-1 cells.
+The level-1 boundary is built, verified at k = 1 and summed once per
+polytope, by level1_boundary_strata, which both criteria read:
+check_special its report and strata, check_sufficient through
+level1_strata, which adds the strata of the full complex along the
+level1_cycles.  So the verdict path builds no table past level 1 and
+verifies one table; the dilated tables serve the triangulate command and
+the tests' oracles.
 
 A Triangulation is a point table and integer cells: points is the sorted
 tuple of its vertices, and each cell is a sorted tuple of indices into it.
@@ -932,36 +934,26 @@ def full_triangulation(P, k):
 
 
 @per_polytope
-def level1_strata(P):
-    """(points, full, boundary) of a reflexive P: its sorted lattice points,
-    and {face: incidence at every lattice point of relint(kF), for every k}
-    of the alcove refinements of the level-1 full complex, along the
-    level1_cycles, and of the level-1 boundary, along its sorted cells
-    (_stratum_sums).  A face is a sorted tuple of ids into points, of
-    dimension len(face) - 1.
+def level1_boundary_strata(P):
+    """(points, report, strata) of P's level-1 boundary, built and verified
+    once per polytope for both criteria.
 
-    The run-product law reads unimodular cells, so both complexes are
-    verified once, here: raises ValueError unless every full cell is
-    unimodular and the boundary passes verify_regular_boundary at k = 1 in
-    coverage, unimodularity, face compatibility and facet alignment.  Its
-    n! bound is check_special's and is not required.  NotReflexive and
-    NoStrategy come from level1_cycles and level1_boundary.
+    points is lattice_points(P, 1) as a tuple; report is
+    verify_regular_boundary's at k = 1 on the level1_boundary cells as ids
+    into points; strata is {face: incidence at every lattice point of
+    relint(kF), for every k} of the boundary's alcove refinements, along its
+    sorted cells (_stratum_sums), a face being a sorted tuple of ids into
+    points, of dimension len(face) - 1.
+
+    The run-product law reads unimodular cells of a complex, so this raises
+    ValueError unless the boundary passes coverage, unimodularity, face
+    compatibility and facet alignment.  Its n! bound is check_special's
+    (report.regular) and is not required.  NoStrategy comes from
+    level1_boundary.
     """
-    n = P.dim
-    cycles = level1_cycles(P)
-    points = tuple(sorted(set(chain.from_iterable(cycles))))
-    index = dict(zip(points, range(len(points)))).__getitem__
-    # the cells read along one vertex cycle pattern form one group
-    groups = {}
-    for cycle in cycles:
-        ids = tuple(map(index, cycle))
-        cell = tuple(sorted(ids))
-        groups.setdefault(tuple(map(ids.index, cell)), []).append(cell)
-    full = Triangulation.from_blocks(n, [(points, list(chain.from_iterable(groups.values())))])
-    if not full.all_unimodular():
-        raise ValueError("the level-1 full complex has a cell that is not unimodular")
-    cells = [tuple(map(index, c)) for _, facet_cells in level1_boundary(P) for c in facet_cells]
-    boundary = Triangulation.from_blocks(n - 1, [(points, cells)])
+    # the lattice points of P, a block of no cells, make the point table
+    blocks = chain([(lattice_points(P, 1), ())], *(cell_blocks(c) for _, c in level1_boundary(P)))
+    boundary = Triangulation.from_blocks(P.dim - 1, blocks)
     report = verify_regular_boundary(P, boundary, 1)
     passed = {
         "coverage": report.coverage_ok,
@@ -972,7 +964,34 @@ def level1_strata(P):
     failed = [name for name, ok in passed.items() if not ok]
     if failed:
         raise ValueError(f"the level-1 boundary fails {', '.join(failed)}")
-    return points, _stratum_sums(n, groups.items()), _stratum_sums(n - 1, [(range(n), boundary.cells)])
+    return boundary.points, report, _stratum_sums(boundary.dim, [(range(P.dim), boundary.cells)])
+
+
+@per_polytope
+def level1_strata(P):
+    """(points, full, boundary) of a reflexive P: the points and strata of
+    level1_boundary_strata, and the strata of the level-1 full complex,
+    along the level1_cycles (_stratum_sums), keyed the same way.
+
+    level1_cycles is read first, so a P that is not reflexive raises its
+    NotReflexive before any boundary is built; the boundary is verified by
+    level1_boundary_strata, and the full complex here: raises ValueError
+    unless every full cell is unimodular.
+    """
+    n = P.dim
+    cycles = level1_cycles(P)
+    points, _, boundary = level1_boundary_strata(P)
+    index = dict(zip(points, range(len(points)))).__getitem__
+    # the cells read along one vertex cycle pattern form one group
+    groups = {}
+    for cycle in cycles:
+        ids = tuple(map(index, cycle))
+        cell = tuple(sorted(ids))
+        groups.setdefault(tuple(map(ids.index, cell)), []).append(cell)
+    full = Triangulation.from_blocks(n, [(points, list(chain.from_iterable(groups.values())))])
+    if not full.all_unimodular():
+        raise ValueError("the level-1 full complex has a cell that is not unimodular")
+    return points, _stratum_sums(n, groups.items()), boundary
 
 
 def delaunay_triangulation(points):

@@ -86,15 +86,19 @@ def test_moment_polynomial_interpolation():
 
 
 def test_coefficient_mismatch_guard(monkeypatch):
-    # corrupt the count of 1P and verify the interpolation guard trips
+    # corrupt the count of kP and verify a guard trips: at a node (k = 1)
+    # the interpolant moves its coefficients, past the nodes (k = n + 1 = 3)
+    # only the count check can see it
     import chowtool.ehrhart as eh
 
     real_count = eh.count
+    corrupted = ((1, "^leading coefficient "), (3, "^interpolation disagrees with count at k=3$"))
+    for bad, message in corrupted:
 
-    def bad_count(P, k):
-        v = real_count(P, k)
-        return v + 1 if k == 1 else v
+        def bad_count(P, k):
+            v = real_count(P, k)
+            return v + 1 if k == bad else v
 
-    monkeypatch.setattr(eh, "count", bad_count)
-    with pytest.raises(CoefficientMismatch):
-        eh.ehrhart_polynomial(X3)
+        monkeypatch.setattr(eh, "count", bad_count)
+        with pytest.raises(CoefficientMismatch, match=message):
+            eh.ehrhart_polynomial(X3)

@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import factorial
@@ -8,7 +9,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowtool import catalog
+from chowtool import catalog, triangulation
 from chowtool.errors import (
     CoverageError,
     NonIntegralCut,
@@ -562,13 +563,13 @@ def test_check_sufficient_refuses_a_boundary_stratum_past_the_sampled_dilations(
     assert built == []
 
 
-def test_check_sufficient_refuses_a_level1_boundary_that_fails_verification(monkeypatch):
+@pytest.mark.parametrize("entry", [check_special, check_sufficient])
+def test_criteria_refuse_a_level1_boundary_failing_verification(entry, monkeypatch):
     # a D(X8) with no level-1 fact computed yet, whose level-1 boundary
     # misses one cell: the cone over the rest is still unimodular, but the
     # boundary no longer covers the boundary of P, and the ridges of the
-    # missing cell lie in one cell each
-    from chowtool import triangulation
-
+    # missing cell lie in one cell each; both criteria read the one
+    # verified boundary, so neither ends such a table inconclusive
     P = double_cone(catalog.get("X8").polytope)
     real = triangulation.level1_boundary
 
@@ -578,7 +579,7 @@ def test_check_sufficient_refuses_a_level1_boundary_that_fails_verification(monk
 
     monkeypatch.setattr(triangulation, "level1_boundary", dropped)
     with pytest.raises(ValueError, match="^the level-1 boundary fails coverage, face compatibility$"):
-        check_sufficient(P)
+        entry(P)
 
 
 def test_sufficient_threshold_arithmetic():
@@ -1209,7 +1210,6 @@ def _record_table_builds(monkeypatch):
         return build
 
     for module, name in (
-        (stability, "boundary_triangulation"),
         (triangulation, "boundary_triangulation"),
         (triangulation, "full_triangulation"),
     ):
@@ -1239,28 +1239,30 @@ def test_check_special_builds_only_the_level1_boundary(name, monkeypatch):
     built = _record_table_builds(monkeypatch)
     verdict = check_special(catalog.get(name).polytope)
     assert verdict.status == POLYSTABLE
-    assert [k for k, _ in built] == [1]
+    # check_special reads level1_boundary_strata and builds no table of kP
+    assert built == []
 
 
-def _inflate_stratum(monkeypatch, P, dim, excess=1):
-    """Make the stratum sums check_special reads off P's level-1 boundary
-    table (_stratum_sums) raise the least face of dimension dim past n! by
-    excess: a fabricated stratum table, as a complex whose alcove
-    refinements break the bound would give."""
+def _inflate_stratum(monkeypatch, dim, excess=1):
+    """Make the boundary strata check_special reads (level1_boundary_strata)
+    raise the least face of dimension dim past n! by excess: a fabricated
+    stratum table, as a complex whose alcove refinements break the bound
+    would give."""
     from chowtool import stability
 
-    real = stability._stratum_sums
-    points = boundary_triangulation(P, 1).points
+    real = stability.level1_boundary_strata
     inflated = []
 
-    def fabricated(d, groups):
-        strata = dict(real(d, groups))
+    def fabricated(P):
+        points, report, strata = real(P)
+        # a copy: the real strata are a cached fact of P
+        strata = dict(strata)
         face = min(f for f in strata if len(f) == dim + 1)
-        strata[face] = factorial(d + 1) + excess
+        strata[face] = factorial(P.dim) + excess
         inflated.append(tuple(map(points.__getitem__, face)))
-        return strata
+        return points, report, strata
 
-    monkeypatch.setattr(stability, "_stratum_sums", fabricated)
+    monkeypatch.setattr(stability, "level1_boundary_strata", fabricated)
     return inflated
 
 
@@ -1268,7 +1270,7 @@ def test_check_special_refuses_a_stratum_past_the_sampled_dilations(monkeypatch)
     from chowtool import catalog
 
     P = catalog.get("D_X4").polytope
-    inflated = _inflate_stratum(monkeypatch, P, 2)
+    inflated = _inflate_stratum(monkeypatch, 2)
     built = _record_table_builds(monkeypatch)
     # k = 1, 2 sample the strata of dimension 0 and 1 only
     verdict = check_special(P, k_max=2)
@@ -1279,14 +1281,14 @@ def test_check_special_refuses_a_stratum_past_the_sampled_dilations(monkeypatch)
         "a stratum of dimension 2 has incidence 7 > n! = 6; k = 1..2 sample dimensions up to 1"
     )
     assert dict(check.data) == {"dimension": "2", "incidence": "7", "face": str(inflated[0])}
-    assert [k for k, _ in built] == [1]
+    assert built == []
 
 
 def test_check_special_refuses_a_sampled_stratum_past_the_bound(monkeypatch):
     from chowtool import catalog
 
     P = catalog.get("D_X4").polytope
-    inflated = _inflate_stratum(monkeypatch, P, 1, excess=2)
+    inflated = _inflate_stratum(monkeypatch, 1, excess=2)
     built = _record_table_builds(monkeypatch)
     verdict = check_special(P)
     # the edge strata are sampled from k = 2 on; the stratum report refuses
@@ -1298,7 +1300,7 @@ def test_check_special_refuses_a_sampled_stratum_past_the_bound(monkeypatch):
         "a stratum of dimension 1 has incidence 8 > n! = 6; k = 1..4 sample dimensions up to 3"
     )
     assert dict(check.data) == {"dimension": "1", "incidence": "8", "face": str(inflated[0])}
-    assert [k for k, _ in built] == [1]
+    assert built == []
 
 
 _PINNED_VERDICTS = ["D6", "D7", "simplexPn5", "D_X8", "D_X9", "cube5_doublecone"]
@@ -1314,9 +1316,32 @@ def test_verdict_json_of_the_largest_special_entries_is_pinned(name, monkeypatch
     P = catalog.get(name).polytope
     text = jsonio.dump_json(jsonio.verdict_to_json(P, classify(P))) + "\n"
     assert text == (Path(__file__).parent / "data" / "verdicts" / f"{name}.json").read_text()
-    # check_special builds the level-1 boundary, where one exists (not on
-    # cube5_doublecone), and check_sufficient reads its complexes' strata
-    assert [k for k, _ in built] == ([] if name == "cube5_doublecone" else [1])
+    # both criteria read the level-1 strata, so no table of kP is built
+    assert built == []
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_classify_verifies_each_level1_boundary_once(name, monkeypatch):
+    # check_special and check_sufficient read one verified boundary, so an
+    # entry that runs both (D_X8, D_X9) verifies it once too; every module
+    # of the package that binds verify_regular_boundary is counted
+    import chowtool
+
+    real = triangulation.verify_regular_boundary
+    calls = []
+
+    def counted(P, T, k):
+        # the polytope itself, so that no two counted ones share an id
+        calls.append(P)
+        return real(P, T, k)
+
+    for module in vars(chowtool).values():
+        if getattr(module, "verify_regular_boundary", None) is real:
+            monkeypatch.setattr(module, "verify_regular_boundary", counted)
+    # a copy with none of its per-polytope facts computed yet
+    P = catalog.get(name).polytope.with_name(name)
+    classify(P)
+    assert max(Counter(map(id, calls)).values(), default=0) <= 1
 
 
 @pytest.mark.parametrize("k_max", [0, -2])
